@@ -210,7 +210,7 @@ def test_ablation_summary_engine(benchmark, corpus):
         f"                  summaries correct={summary_correct} "
         f"FP={summary_fp} acc={overall_accuracy(summary_table):.3f} "
         f"in {summary_s * 1000:.0f} ms (rescan {rescan_s * 1000:.0f} ms, "
-        f"{summary_checker.summary_cache.hits} cache hits)\n"
+        f"{summary_checker.sessions.hits} cache hits)\n"
         f"deep config chains ({len(deep_apps)} apps): "
         f"one-hop FPs={deep_config_fps['one-hop']}, "
         f"summary FPs={deep_config_fps['summary']}"
@@ -220,7 +220,7 @@ def test_ablation_summary_engine(benchmark, corpus):
     assert summary_fp <= legacy_fp
     assert deep_config_fps["one-hop"] == 2 * len(deep_apps)
     assert deep_config_fps["summary"] == 0
-    assert summary_checker.summary_cache.hits >= len(corpus)
+    assert summary_checker.sessions.hits >= len(corpus)
 
 
 def test_ablation_notification_depth(benchmark):

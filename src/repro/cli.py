@@ -87,8 +87,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         guard_aware_connectivity=args.guard_aware,
         interprocedural_connectivity=not args.intraprocedural,
         summary_based=not args.no_summaries,
-        eager_summaries=args.eager_summaries,
-        intra_jobs=args.intra_jobs,
         cache_dir=_resolve_cache_dir(args),
         cache_backend=_resolve_cache_backend(args),
         enabled_checks=_enabled_checks(args),
@@ -96,7 +94,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from .pipeline.batch import BatchScanner
 
     # --trace / --metrics / --stats / --profile / --ledger all ride on
-    # the worker telemetry round-trip; none of them touch stdout, which
+    # the scan unit's telemetry capture; none of them touch stdout, which
     # stays byte-identical to an uninstrumented run (the table and
     # notices go to stderr).  Whenever metrics are collected the span
     # stream is folded into the profile tree too, so every --metrics
@@ -132,7 +130,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     sarif_kinds, sarif_results = [], []
     for payload in payloads:
         if not payload.ok:
-            print(payload.error, file=sys.stderr)
+            print(f"error: {payload.error}", file=sys.stderr)
             raise SystemExit(2)
         if payload.n_findings:
             exit_code = 1
@@ -453,7 +451,7 @@ def _bench_measure(apps, jobs: int, options, label):
     wall_s = time.perf_counter() - start
     for payload in payloads:
         if not payload.ok:
-            print(payload.error, file=sys.stderr)
+            print(f"error: {payload.error}", file=sys.stderr)
             raise SystemExit(2)
     merged = merge_snapshots(
         [p.metrics_snapshot for p in payloads if p.metrics_snapshot]
@@ -492,11 +490,7 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
         print("error: no apps given and no examples/apps/*.apkt found "
               "under the working directory", file=sys.stderr)
         return 2
-    options = NCheckerOptions(
-        enabled_checks=_enabled_checks(args),
-        eager_summaries=args.eager_summaries,
-        intra_jobs=args.intra_jobs,
-    )
+    options = NCheckerOptions(enabled_checks=_enabled_checks(args))
     record = _bench_measure(apps, args.jobs, options, args.label)
     ledger = RunLedger(resolve_ledger_dir(args.ledger_dir))
     ledger.append(record)
@@ -562,11 +556,7 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
             print("error: no apps given, no --current file, and no "
                   "examples/apps/*.apkt found", file=sys.stderr)
             return 2
-        options = NCheckerOptions(
-        enabled_checks=_enabled_checks(args),
-        eager_summaries=args.eager_summaries,
-        intra_jobs=args.intra_jobs,
-    )
+        options = NCheckerOptions(enabled_checks=_enabled_checks(args))
         current = _bench_measure(apps, args.jobs, options,
                                  args.label or "gate")
         RunLedger(resolve_ledger_dir(args.ledger_dir)).append(current)
@@ -577,17 +567,12 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
 
 
 def _load_or_die(path: str):
-    from .ir.parser import ParseError
-
     try:
         return load_apk(path)
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(2)
-    except ParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError, or an undecodable file
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -615,8 +600,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=_resolve_cache_dir(args),
         cache_backend=_resolve_cache_backend(args),
         extended_checks=args.extended_checks,
-        intra_jobs=args.intra_jobs,
-        eager_summaries=args.eager_summaries,
         max_body_bytes=max_body,
     )
     try:
@@ -667,27 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
         "as 'local:DIR', otherwise it uses the resolved --cache-dir. "
         "See docs/CACHING.md",
     )
-    # Summary-engine performance knobs, shared by every command that
-    # scans under the summary engine.  Neither can change scan output:
-    # --intra-jobs is excluded from the scan-options fingerprint, and
-    # --eager-summaries only changes work volume (ablation baseline).
-    perf = argparse.ArgumentParser(add_help=False)
-    perf.add_argument(
-        "--intra-jobs", type=int, default=1, metavar="N",
-        help="evaluate independent summary SCCs of one wavefront on N "
-        "threads while prewarming (output, counters, and profile shapes "
-        "are identical to --intra-jobs 1)",
-    )
-    perf.add_argument(
-        "--eager-summaries", action="store_true",
-        help="build whole-app summary fact maps on first query instead "
-        "of demand-driven callee cones (ablation baseline; findings are "
-        "byte-identical)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="scan app files for NPDs",
-                          parents=[common, caching, perf])
+                          parents=[common, caching])
     scan.add_argument("apps", nargs="+", help=".apkt files to scan")
     scan.add_argument(
         "--summary", action="store_true", help="print per-kind counts only"
@@ -880,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record",
         help="run an instrumented, cache-disabled benchmark scan and "
         "append it to the run ledger",
-        parents=[common, perf],
+        parents=[common],
     )
     record.add_argument(
         "apps", nargs="*",
@@ -942,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
     gate = bench_action.add_parser(
         "gate",
         help="compare against a baseline and exit nonzero on regressions",
-        parents=[common, perf],
+        parents=[common],
     )
     gate.add_argument(
         "apps", nargs="*",
@@ -987,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the scan-as-a-service HTTP daemon (docs/SERVICE.md)",
-        parents=[common, caching, perf],
+        parents=[common, caching],
     )
     serve.add_argument(
         "--host", default="127.0.0.1", metavar="ADDR",

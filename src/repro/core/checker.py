@@ -77,14 +77,10 @@ class NCheckerOptions:
     #: Ablation baseline for the demand-driven summary engine: build
     #: whole-app fact maps on the first point query (the pre-lazy
     #: behavior) instead of evaluating only the queried callee cones.
-    #: Results are identical either way; only work volume differs.
+    #: Results are identical either way; only work volume differs.  A
+    #: library and test hook (the summary-laziness benchmark and the
+    #: determinism suite set it); no CLI flag reaches it.
     eager_summaries: bool = False
-    #: Wavefront workers for summary prewarming: independent SCCs of the
-    #: call-graph condensation evaluate concurrently on up to this many
-    #: threads.  Purely an execution detail — results, counters, and
-    #: profile shapes are identical for any value — so it is excluded
-    #: from the scan-options fingerprint.
-    intra_jobs: int = 1
     #: Enable the experimental network-switch analysis (paper Cause 4,
     #: which the original tool could not check — §4.2).  Needs a registry
     #: including the aSmack model (`repro.libmodels.extended_registry`).
@@ -215,13 +211,6 @@ class NChecker:
         #: Per-APK scan sessions (artifact stores), reused across repeat
         #: scans of the same (structurally unchanged) app.
         self.sessions = SessionCache()
-
-    @property
-    def summary_cache(self):
-        """Legacy alias for :attr:`sessions` — the session cache subsumes
-        the old per-APK ``SummaryCache`` and keeps its hit/miss counter
-        semantics (one miss per structurally distinct app state)."""
-        return self.sessions
 
     def scan(self, apk: APK) -> ScanResult:
         """Run all enabled analyses over one app."""

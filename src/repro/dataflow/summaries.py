@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from ..callgraph.scc import condensation_order, condensation_wavefronts
+from ..callgraph.scc import condensation_order
 from ..ir.method import IRMethod
 from ..obs import metrics as obs_metrics
 from ..obs import span
@@ -168,9 +168,7 @@ class SummaryEngine:
     callee-first order, memoizing per-SCC results; whole-app views
     (``connectivity_methods``) and the ``eager`` ablation evaluate every
     SCC.  Either way the per-SCC fixpoint is the same, so answers are
-    independent of query order, of eager vs. lazy mode, and of how many
-    wavefront workers (``intra_jobs``) evaluated independent SCCs
-    concurrently.
+    independent of query order and of eager vs. lazy mode.
     """
 
     def __init__(
@@ -187,13 +185,10 @@ class SummaryEngine:
         self.cache = cache
         self.stats = SummaryStats()
         self._edge_direct = EDGE_DIRECT
-        #: Ablation toggle (``--eager-summaries``): point queries build
-        #: the whole-app fact map, the pre-demand-driven behavior.
+        #: Ablation toggle (``NCheckerOptions.eager_summaries``): point
+        #: queries build the whole-app fact map, the pre-demand-driven
+        #: behavior.
         self.eager: bool = False
-        #: Wavefront workers for whole-app fact builds and prewarming.
-        #: Purely an execution detail: results, counters, and profile
-        #: shapes are identical for any value (see ``prewarm_bool_facts``).
-        self.intra_jobs: int = 1
         #: SCC condensation of the call graph, computed lazily so an
         #: incremental invalidation (which refreshes edges) can simply
         #: drop it and have the next fact pass recompute the order.
@@ -307,10 +302,8 @@ class SummaryEngine:
     ) -> dict["MethodKey", bool]:
         """One SCC's facts: the local predicate per member, then the
         within-SCC (boolean-OR, hence fast) fixpoint, pulling callee facts
-        outside the SCC from ``state.resolved``.  Thread-safe given its
-        wavefront contract: every external dependency is resolved before
-        this SCC is scheduled, and ``resolved`` is only written between
-        wavefronts."""
+        outside the SCC from ``state.resolved`` (every one of them is
+        resolved before this SCC is evaluated)."""
         values: dict["MethodKey", bool] = {}
         for key in scc:
             method = self.graph.methods[key]
@@ -340,57 +333,19 @@ class SummaryEngine:
         state: _BoolFactState,
         predicate: Callable[[InvokeExpr], bool],
         indices: Iterable[int],
-        jobs: Optional[int] = None,
     ) -> None:
-        """Evaluate the given SCCs callee-first, in topological wavefronts.
-
-        SCCs within one wavefront have no dependencies on each other, so
-        with ``jobs > 1`` they are evaluated on a thread pool; results are
-        merged wavefront-by-wavefront in sorted SCC order, making
-        ``state.resolved`` identical for any worker count.
-        """
-        pending = [i for i in indices if i not in state.evaluated_sccs]
+        """Evaluate the given SCCs in ascending index order, which is
+        callee-first: the condensation lists every SCC after the SCCs it
+        calls into."""
+        pending = sorted(i for i in indices if i not in state.evaluated_sccs)
         if not pending:
             return
-        sccs, position = self._ensure_scc_order()
-        fronts = condensation_wavefronts(
-            pending,
-            sccs,
-            position,
-            lambda k: self._callee_keys(k, state.all_edge_kinds),
-        )
+        sccs = self.sccs
         self.stats.bool_fact_sccs += len(pending)
         obs_metrics().inc("dataflow.bool_fact_sccs", len(pending))
-        jobs = self.intra_jobs if jobs is None else jobs
-        executor = None
-        try:
-            for front in fronts:
-                if jobs > 1 and len(front) > 1:
-                    if executor is None:
-                        from concurrent.futures import ThreadPoolExecutor
-
-                        executor = ThreadPoolExecutor(
-                            max_workers=jobs, thread_name_prefix="nchecker-scc"
-                        )
-                    results = list(
-                        executor.map(
-                            lambda i: self._eval_scc_values(
-                                sccs[i], predicate, state
-                            ),
-                            front,
-                        )
-                    )
-                else:
-                    results = [
-                        self._eval_scc_values(sccs[i], predicate, state)
-                        for i in front
-                    ]
-                for idx, values in zip(front, results):
-                    state.resolved.update(values)
-                    state.evaluated_sccs.add(idx)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+        for idx in pending:
+            state.resolved.update(self._eval_scc_values(sccs[idx], predicate, state))
+            state.evaluated_sccs.add(idx)
 
     def _resolve_full(
         self, state: _BoolFactState, predicate: Callable[[InvokeExpr], bool]
@@ -417,31 +372,21 @@ class SummaryEngine:
         if self.eager:
             self._resolve_full(state, predicate)
         else:
-            # Demand-driven: evaluate only this key's callee cone, on the
-            # querying thread (cones are small; prewarming covers the rest).
-            self._resolve_sccs(
-                state, predicate, self._cone_indices(state, (key,)), jobs=1
-            )
+            # Demand-driven: evaluate only this key's callee cone.
+            self._resolve_sccs(state, predicate, self._cone_indices(state, (key,)))
         return state.resolved.get(key, False)
 
     def prewarm_bool_facts(
         self,
         demands: Iterable[tuple[str, Optional[Iterable["MethodKey"]]]],
-        intra_jobs: Optional[int] = None,
     ) -> None:
         """Evaluate the fact cones the planned passes will query.
 
         ``demands`` pairs a fact name from :data:`BOOL_FACT_SPECS` with
         the methods whose facts will be demanded (``None`` = whole app,
-        for facts served as whole-app views).  The decomposition into
-        SCC wavefronts is the same for every ``intra_jobs`` value — the
-        worker count only chooses how many independent SCCs of one
-        wavefront evaluate concurrently — so deterministic counters and
-        results do not depend on it.  Queries the prewarm did not cover
-        simply fall back to lazy evaluation.
+        for facts served as whole-app views).  Queries the prewarm did not
+        cover simply fall back to lazy evaluation.
         """
-        if intra_jobs is not None:
-            self.intra_jobs = intra_jobs
         for name, roots in demands:
             predicate, all_edge_kinds = BOOL_FACT_SPECS[name]
             state = self._bool_state(name, all_edge_kinds)

@@ -7,14 +7,13 @@ scanning, incremental re-scan.
   the checks' declared artifact reads;
 * :mod:`repro.pipeline.scan` — scan sessions (one store per APK) and
   the session cache behind ``NChecker``;
-* :mod:`repro.pipeline.batch` — the parallel batch scanner
-  (``nchecker scan --jobs N``) with deterministic, input-order-stable
-  output;
+* :mod:`repro.pipeline.batch` — the scan unit the CLI and the daemon
+  share, and its process fan-out (``nchecker scan --jobs N``) with
+  deterministic, input-order-stable output;
 * :mod:`repro.pipeline.cachestore` — the persistent cross-run cache as
   a layered subsystem: content addressing, codec, and the pluggable
   ``CacheBackend`` protocol (local / memory / tiered) behind
-  ``--cache-backend`` (``repro.pipeline.diskcache`` is its thin
-  compatibility facade).
+  ``--cache-backend``.
 """
 
 from .artifacts import (

@@ -1,54 +1,75 @@
-"""Parallel batch scanning (``nchecker scan --jobs N``).
+"""The scan unit, and its fan-out across worker processes.
 
-One worker process per job scans whole apps independently — the natural
-parallel grain, since every artifact in the store is per-APK.  Workers
-return :class:`ScanPayload` objects: fully *rendered* per-app output
-(report texts, JSON dicts, SARIF result objects) rather than live
-analysis objects, so the parent never re-derives anything and the bytes
-printed are the same whether one process produced them or eight.
+:func:`scan_one` is the one thing NChecker does per app: load it (from a
+file path, or from submitted ``.apkt`` text), run the enabled analyses,
+and render every output the :class:`ScanTask` asks for into a
+:class:`ScanPayload` — report texts, stats rows, per-kind counts, the
+``--json`` dict, SARIF result objects — together with the telemetry it
+asks for (span events, a metrics snapshot carrying the profile tree).
+``nchecker scan``, ``nchecker bench record|gate`` and the ``nchecker
+serve`` workers all run it, so a daemon result is byte-identical to
+``nchecker scan`` on the same app by construction.  The caller decides
+how long a checker lives: it passes one in (the daemon keeps one warm
+checker per worker process) or lets the unit make a fresh one per app
+(the CLI, so its session cache never grows across a large batch).
 
-Determinism contract: ``ProcessPoolExecutor.map`` preserves input order,
-payload rendering is a pure function of one app, and ``--jobs 1`` runs
-the *same* payload function in-process — so the CLI output is
-byte-identical across job counts, by construction.
+Payloads are fully *rendered* rather than live analysis objects, so the
+parent never re-derives anything and the bytes printed are the same
+whether one process produced them or eight.  Determinism contract:
+``ProcessPoolExecutor.map`` preserves input order, rendering is a pure
+function of one app, and ``--jobs 1`` runs the *same* unit in-process —
+so CLI output is byte-identical across job counts.
 
 :func:`scan_corpus` applies the same fan-out to the synthetic evaluation
 corpus (generation is deterministic per app index, so workers regenerate
-their slice instead of shipping APKs over the pipe).
+their slice instead of shipping APKs over the pipe, and each slice runs
+under one checker).
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..core.checker import NCheckerOptions
-from ..obs import MetricsRegistry, Tracer, set_metrics, set_tracer, span
+from ..obs import (
+    MetricsRegistry,
+    Tracer,
+    merge_snapshots,
+    profile_from_events,
+    set_metrics,
+    set_tracer,
+    span,
+)
 
 if TYPE_CHECKING:
-    from ..core.checker import ScanResult
+    from ..core.checker import NChecker, ScanResult
     from ..corpus.profiles import CorpusProfile
 
 
 @dataclass(frozen=True)
-class _ScanTask:
-    """Picklable work order for one app file."""
+class ScanTask:
+    """Picklable work order for one app.
 
-    path: str
-    options: NCheckerOptions
-    want_json: bool
-    want_sarif: bool
-    want_stats: bool
-    want_summary: bool
-    #: Collect span events / a metrics snapshot for this app.  Workers
-    #: install a fresh tracer/registry per task and ship the export back
-    #: in the payload; the parent merges (`--trace`/`--metrics`/`--stats`).
+    ``source`` names the app: a file path, or — when ``text`` carries the
+    submitted ``.apkt`` document — its client-side filename.  Either way
+    it is the SARIF artifact URI and the prefix of a load error.
+    """
+
+    source: str
+    options: NCheckerOptions = NCheckerOptions()
+    text: Optional[str] = None
+    #: Outputs to render.  JSON and SARIF are the machine modes: with
+    #: either one, nothing else is rendered per app.
+    want_json: bool = False
+    want_sarif: bool = False
+    want_stats: bool = False
+    want_summary: bool = False
+    #: Telemetry to capture (see :func:`capture_telemetry`).
     want_trace: bool = False
     want_metrics: bool = False
-    #: Also fold this app's span stream into an aggregated profile tree
-    #: (`--profile`; rides on the metrics snapshot so it merges across
-    #: the pool with everything else).
     want_profile: bool = False
 
 
@@ -56,13 +77,14 @@ class _ScanTask:
 class ScanPayload:
     """Rendered scan output for one app (or the error that prevented it).
 
-    Everything the CLI prints is pre-rendered here, in the worker, so the
-    parent process only concatenates strings — the key to byte-identical
-    output across ``--jobs`` values.
+    Everything the CLI prints and the daemon serves is pre-rendered here,
+    in the worker, so the parent only concatenates strings.
     """
 
     path: str
     ok: bool
+    #: ``"no such file: <path>"`` or ``"<source>: <reason>"``; the CLI
+    #: prefixes ``error: ``, the daemon reports it bare.
     error: str = ""
     package: str = ""
     n_findings: int = 0
@@ -84,60 +106,83 @@ class ScanPayload:
     metrics_snapshot: Optional[dict] = None
 
 
-def _scan_payload(task: _ScanTask) -> ScanPayload:
-    """Scan one app file and render its output (module-level so it can be
-    dispatched to a worker process).
+@dataclass
+class Telemetry:
+    """What :func:`capture_telemetry` collected: span events (when a
+    trace was asked for) and a metrics snapshot (when metrics or a
+    profile were; the profile tree rides in it under ``"profile"``)."""
 
-    When the task asks for telemetry, a fresh tracer/registry pair is
-    installed for the duration of the scan and its export travels back in
-    the payload — the parent merges across workers, so the telemetry of a
-    ``--jobs N`` run is the sum of per-app snapshots regardless of which
-    process scanned which app.
+    events: list = field(default_factory=list)
+    snapshot: Optional[dict] = None
+
+
+@contextmanager
+def capture_telemetry(trace: bool = False, metrics: bool = False,
+                      profile: bool = False):
+    """Install a fresh tracer and metrics registry for the block; the
+    yielded :class:`Telemetry` is filled in when the block exits.
+
+    Asking for nothing installs nothing, so an uninstrumented scan runs
+    exactly as it would without this wrapper, and the tracer stays
+    disabled unless a trace or a profile (which folds the span stream)
+    is asked for.  Every scan and corpus slice captures its own
+    telemetry and ships it back; the caller merges snapshots, so the
+    telemetry of a parallel run is the sum of its per-app snapshots
+    whichever process scanned which app.
     """
-    if not (task.want_trace or task.want_metrics or task.want_profile):
-        return _render_payload(task)
-    # Profiling needs the span stream, so it enables the tracer even
-    # when no --trace file was asked for.
-    trace = Tracer(enabled=task.want_trace or task.want_profile)
+    captured = Telemetry()
+    if not (trace or metrics or profile):
+        yield captured
+        return
+    tracer = Tracer(enabled=trace or profile)
     registry = MetricsRegistry()
-    old_tracer = set_tracer(trace)
-    old_metrics = set_metrics(registry)
+    old_tracer, old_registry = set_tracer(tracer), set_metrics(registry)
     try:
-        payload = _render_payload(task)
+        yield captured
     finally:
         set_tracer(old_tracer)
-        set_metrics(old_metrics)
-    if task.want_trace:
-        payload.trace_events = trace.export()
-    if task.want_metrics or task.want_profile:
-        snapshot = registry.snapshot()
-        if task.want_profile:
-            from ..obs import profile_from_events
+        set_metrics(old_registry)
+    events = tracer.export()
+    if trace:
+        captured.events = events
+    if metrics or profile:
+        captured.snapshot = registry.snapshot()
+        if profile:
+            captured.snapshot["profile"] = profile_from_events(events)
 
-            snapshot["profile"] = profile_from_events(trace.export())
-        payload.metrics_snapshot = snapshot
+
+def scan_one(task: ScanTask, checker: "Optional[NChecker]" = None) -> ScanPayload:
+    """The scan unit: load, scan and render one app under the telemetry
+    the task asks for.  ``checker`` defaults to a fresh ``NChecker`` for
+    the task's options.  Module-level so a process pool can dispatch it."""
+    with capture_telemetry(
+        task.want_trace, task.want_metrics, task.want_profile
+    ) as telemetry:
+        payload = _render(task, checker)
+    payload.trace_events = telemetry.events
+    payload.metrics_snapshot = telemetry.snapshot
     return payload
 
 
-def _render_payload(task: _ScanTask) -> ScanPayload:
-    from ..app.loader import load_apk
-    from ..ir.parser import ParseError
+def _render(task: ScanTask, checker: "Optional[NChecker]") -> ScanPayload:
+    from ..app.loader import load_apk, loads_apk
 
+    source = task.source
     try:
-        with span("load", path=task.path):
-            apk = load_apk(task.path)
+        with span("load", path=source):
+            apk = load_apk(source) if task.text is None else loads_apk(task.text)
     except FileNotFoundError:
-        return ScanPayload(task.path, ok=False,
-                           error=f"error: no such file: {task.path}")
-    except (ParseError, ValueError) as exc:
-        return ScanPayload(task.path, ok=False,
-                           error=f"error: {task.path}: {exc}")
+        return ScanPayload(source, ok=False, error=f"no such file: {source}")
+    except ValueError as exc:  # ParseError, or an undecodable file
+        return ScanPayload(source, ok=False, error=f"{source}: {exc}")
 
-    from ..core.checker import NChecker
+    if checker is None:
+        from ..core.checker import NChecker
 
-    result = NChecker(options=task.options).scan(apk)
+        checker = NChecker(options=task.options)
+    result = checker.scan(apk)
     payload = ScanPayload(
-        task.path,
+        source,
         ok=True,
         package=apk.package,
         n_findings=len(result.findings),
@@ -148,7 +193,7 @@ def _render_payload(task: _ScanTask) -> ScanPayload:
     if task.want_sarif:
         from ..eval.sarif import finding_result
 
-        uri = Path(task.path).as_posix()
+        uri = Path(source).as_posix()
         payload.sarif_kind_values = [f.kind.value for f in result.findings]
         payload.sarif_results = [finding_result(f, uri) for f in result.findings]
     if task.want_json or task.want_sarif:
@@ -164,14 +209,31 @@ def _render_payload(task: _ScanTask) -> ScanPayload:
     return payload
 
 
+def _fan_out(fn, tasks: list, jobs: int, progress=None) -> list:
+    """``[fn(task) for task in tasks]``, across up to ``jobs`` worker
+    processes when there is more than one task; input order is kept, and
+    ``progress(done, total, result)`` sees each result as it lands."""
+    with ExitStack() as stack:
+        results = map(fn, tasks)
+        if jobs > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+            )
+            results = pool.map(fn, tasks)
+        out = []
+        for result in results:
+            out.append(result)
+            if progress is not None:
+                progress(len(out), len(tasks), result)
+        return out
+
+
 @dataclass
 class BatchScanner:
-    """Fan app scans across processes with input-order-stable output.
-
-    ``jobs <= 1`` runs the identical payload function in-process; any
-    higher value uses a ``ProcessPoolExecutor`` whose ``map`` preserves
-    input order, so results are deterministic either way.
-    """
+    """Run the scan unit over app files, in-process for ``jobs <= 1``,
+    else across a process pool; output order follows input order."""
 
     options: NCheckerOptions = NCheckerOptions()
     jobs: int = 1
@@ -179,44 +241,15 @@ class BatchScanner:
     def scan_paths(
         self,
         paths: Sequence[str],
-        *,
-        want_json: bool = False,
-        want_sarif: bool = False,
-        want_stats: bool = False,
-        want_summary: bool = False,
-        want_trace: bool = False,
-        want_metrics: bool = False,
-        want_profile: bool = False,
         progress: Optional[Callable[[int, int, ScanPayload], None]] = None,
+        **wants: bool,
     ) -> list[ScanPayload]:
-        """Scan ``paths``; ``progress(done, total, payload)`` is invoked
-        as each app's payload lands (in input order — the heartbeat the
-        CLI's ``--progress`` prints)."""
-        tasks = [
-            _ScanTask(str(path), self.options, want_json, want_sarif,
-                      want_stats, want_summary, want_trace, want_metrics,
-                      want_profile)
-            for path in paths
-        ]
-        return self._map(_scan_payload, tasks, progress)
-
-    def _map(self, fn, tasks: list, progress=None) -> list:
-        if self.jobs <= 1 or len(tasks) <= 1:
-            payloads = []
-            for task in tasks:
-                payloads.append(fn(task))
-                if progress is not None:
-                    progress(len(payloads), len(tasks), payloads[-1])
-            return payloads
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(tasks))) as pool:
-            payloads = []
-            for payload in pool.map(fn, tasks):
-                payloads.append(payload)
-                if progress is not None:
-                    progress(len(payloads), len(tasks), payload)
-            return payloads
+        """Scan ``paths``; ``wants`` are :class:`ScanTask`'s ``want_*``
+        flags.  ``progress(done, total, payload)`` is invoked as each
+        app's payload lands (in input order — the heartbeat the CLI's
+        ``--progress`` prints)."""
+        tasks = [ScanTask(str(path), self.options, **wants) for path in paths]
+        return _fan_out(scan_one, tasks, self.jobs, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -225,26 +258,21 @@ class BatchScanner:
 
 
 def _scan_corpus_chunk(task) -> tuple:
-    """Regenerate and scan one slice of corpus app indices; returns the
-    ``(index, result)`` pairs plus this worker's metrics snapshot (or
-    ``None`` when the caller did not ask for telemetry)."""
+    """Regenerate and scan one slice of corpus app indices under one
+    checker; returns the ``(index, result)`` pairs plus the slice's
+    metrics snapshot (``None`` when the caller asked for no telemetry)."""
     profile, indices, options, collect = task
     from ..core.checker import NChecker
     from ..corpus.generator import CorpusGenerator
 
-    registry = MetricsRegistry() if collect else None
-    old = set_metrics(registry) if collect else None
-    try:
+    with capture_telemetry(metrics=collect) as telemetry:
         generator = CorpusGenerator(profile)
         checker = NChecker(options=options)
         out = []
         for index in indices:
             apk, _truth = generator.generate_app(index)
             out.append((index, checker.scan(apk)))
-    finally:
-        if collect:
-            set_metrics(old)
-    return out, registry.snapshot() if collect else None
+    return out, telemetry.snapshot
 
 
 def scan_corpus(
@@ -265,39 +293,18 @@ def scan_corpus(
     workers) — the public accounting the benchmarks and experiments
     assert on instead of reaching into store internals.
     """
-    from ..obs import merge_snapshots, use_metrics
-
     profile = profile.scaled(n_apps)
-    collect = telemetry is not None
-    if jobs <= 1 or n_apps <= 1:
-        from ..core.checker import NChecker
-        from ..corpus.generator import CorpusGenerator
-
-        if collect:
-            with use_metrics() as registry:
-                generator = CorpusGenerator(profile)
-                checker = NChecker(options=options)
-                results = [checker.scan(apk) for apk, _ in generator.iter_apps()]
-            telemetry.update(merge_snapshots([registry.snapshot()]))
-            return results
-        generator = CorpusGenerator(profile)
-        checker = NChecker(options=options)
-        return [checker.scan(apk) for apk, _ in generator.iter_apps()]
-    workers = min(jobs, n_apps)
+    workers = max(1, min(jobs, n_apps))
     # Round-robin slices balance the load; the final sort restores input
     # order.
     chunks = [
-        (profile, tuple(range(start, n_apps, workers)), options, collect)
+        (profile, tuple(range(start, n_apps, workers)), options,
+         telemetry is not None)
         for start in range(workers)
     ]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk_results = list(pool.map(_scan_corpus_chunk, chunks))
+    chunk_results = _fan_out(_scan_corpus_chunk, chunks, workers)
     indexed = [pair for pairs, _snap in chunk_results for pair in pairs]
     indexed.sort(key=lambda pair: pair[0])
-    if collect:
-        telemetry.update(
-            merge_snapshots([snap for _pairs, snap in chunk_results if snap])
-        )
+    if telemetry is not None:
+        telemetry.update(merge_snapshots([snap for _pairs, snap in chunk_results]))
     return [result for _index, result in indexed]

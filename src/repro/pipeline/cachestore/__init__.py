@@ -20,9 +20,8 @@ so each can evolve (and be replaced) independently:
   e.g. ``memory+local`` or ``memory+remote:URL``).
 
 :class:`CacheStore` (:mod:`~repro.pipeline.cachestore.store`) ties the
-three together for the scan session; ``repro.pipeline.diskcache``
-remains as a thin compatibility facade over ``local``.  The user-facing
-guide is ``docs/CACHING.md``.
+three together for the scan session.  The user-facing guide is
+``docs/CACHING.md``.
 """
 
 from .backend import (

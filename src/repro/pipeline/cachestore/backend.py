@@ -66,7 +66,7 @@ class EntryKey:
     @property
     def filename(self) -> str:
         """Canonical file name (the on-disk layout every local-style
-        backend shares, and the pre-refactor ``DiskCache`` wrote)."""
+        backend shares, and the pre-split disk cache wrote)."""
         return f"{self.kind}-{self.digest}.bin"
 
 

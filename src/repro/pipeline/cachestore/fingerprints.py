@@ -107,19 +107,16 @@ def scan_options_fingerprint(options: "NCheckerOptions") -> str:
     under different flags.  Storage-only fields (``cache_dir``,
     ``cache_backend``) are excluded: they can never change scan output,
     and a live backend instance has no stable repr anyway.
-    ``intra_jobs`` is likewise excluded — it only picks how many threads
-    evaluate one wavefront's independent SCCs, with results, counters,
-    and profile shapes identical for any value.  (``eager_summaries``
-    *is* folded in: it changes work-volume counters.)  Unordered
-    collections are sorted before hashing so the digest is stable across
-    interpreter hash seeds.
+    (``eager_summaries`` *is* folded in: it changes work-volume
+    counters.)  Unordered collections are sorted before hashing so the
+    digest is stable across interpreter hash seeds.
     """
     import dataclasses
 
     h = hashlib.blake2b(digest_size=12)
     h.update(f"fmt{CACHE_FORMAT_VERSION};lib{LIBMODELS_VERSION}".encode())
     for field in dataclasses.fields(options):
-        if field.name in ("cache_dir", "cache_backend", "intra_jobs"):
+        if field.name in ("cache_dir", "cache_backend"):
             continue
         value = getattr(options, field.name)
         if isinstance(value, (set, frozenset)):

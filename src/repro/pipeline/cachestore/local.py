@@ -1,7 +1,7 @@
 """The local-directory backend — today's on-disk cache, behind the seam.
 
-Layout (format-compatible with every cache the pre-refactor
-``DiskCache`` wrote):
+Layout (format-compatible with every cache the pre-split disk cache
+wrote):
 
     <root>/v<FORMAT>/<app_fp[:2]>/<app_fp>/<kind>-<digest>.bin
 

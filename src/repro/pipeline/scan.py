@@ -76,11 +76,6 @@ class ScanSession:
         self._cache_synced: set[tuple[str, str]] = set()
         self._app_fp: Optional[str] = None
 
-    @property
-    def disk_cache(self):
-        """Pre-split alias for :attr:`artifact_cache`."""
-        return self.artifact_cache
-
     # -- pass construction ---------------------------------------------------
 
     def _build_passes(self):
@@ -226,19 +221,15 @@ class ScanSession:
         and offline-cache passes read the whole-app connectivity view,
         and the failure-notification pass queries UI/handler (and, with
         displayed broadcasts in the ICC model, broadcast) facts on the
-        error callbacks registered at request sites.  The decomposition
-        into SCC wavefronts is identical for every ``intra_jobs`` value —
-        the worker count only chooses how many independent SCCs of one
-        wavefront evaluate concurrently — so counters and profile trees
-        never depend on it.  Queries the prewarm did not anticipate fall
-        back to lazy point evaluation inside the engine.
+        error callbacks registered at request sites.  Queries the prewarm
+        did not anticipate fall back to lazy point evaluation inside the
+        engine.
         """
         from ..callgraph.cha import EDGE_LIB_CALLBACK
 
         opts = self.options
         engine = ctx.summaries
         engine.eager = opts.eager_summaries
-        engine.intra_jobs = max(1, opts.intra_jobs)
         planned = {scheduled_pass.name for scheduled_pass in scheduled}
         demands: list = []
         if planned & {"connectivity", "offline-cache"}:

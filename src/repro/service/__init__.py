@@ -12,8 +12,8 @@ split mirrors the concerns:
 * :mod:`~repro.service.jobs` — the in-memory job table
   (``queued → running → done|failed``) behind ``/v1/scans``;
 * :mod:`~repro.service.ratelimit` — per-tenant token buckets;
-* :mod:`~repro.service.worker` — the picklable scan execution function
-  dispatched to the pool (rendered results + telemetry snapshot back);
+* :mod:`~repro.service.worker` — the function dispatched to the pool:
+  the CLI's scan unit with a warm per-worker checker;
 * :mod:`~repro.service.daemon` — :class:`ScanService`: routing,
   admission control (queue bound, rate limits), the worker pool, the
   ``/v1/cache`` blueprint, and ``/healthz`` + ``/metrics``.
@@ -26,7 +26,7 @@ from .daemon import ScanService, ServiceConfig, serve, start_in_thread
 from .http import Request, Response, json_response
 from .jobs import Job, JobStore
 from .ratelimit import RateLimiter, TokenBucket
-from .worker import ServiceScanTask, execute_scan
+from .worker import execute_scan
 
 __all__ = [
     "Job",
@@ -36,7 +36,6 @@ __all__ = [
     "Response",
     "ScanService",
     "ServiceConfig",
-    "ServiceScanTask",
     "TokenBucket",
     "execute_scan",
     "json_response",

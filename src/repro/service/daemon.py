@@ -32,6 +32,7 @@ from typing import Callable, Optional
 
 from ..core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from ..obs import chrome_trace, empty_snapshot, get_logger, merge_snapshots
+from ..pipeline.batch import ScanTask
 from ..pipeline.cachestore import LocalDirBackend, parse_size
 from .http import (
     HttpServer,
@@ -43,7 +44,7 @@ from .http import (
 )
 from .jobs import JobStore
 from .ratelimit import RateLimiter
-from .worker import ServiceScanTask, execute_scan
+from .worker import execute_scan
 
 log = get_logger("service")
 
@@ -78,13 +79,11 @@ class ServiceConfig:
     #: when a cache root is set (warm blobs in-process, shared on disk).
     cache_backend: Optional[str] = None
     extended_checks: bool = False
-    intra_jobs: int = 1
-    eager_summaries: bool = False
     #: Reject request bodies beyond this size with 413.
     max_body_bytes: int = parse_size("16M")
     #: Test hook: builds the pool from the worker count.  ``None`` means
     #: a real ``ProcessPoolExecutor``, created lazily on first scan —
-    #: cache-only deployments never fork.
+    #: cache-only deployments never start workers.
     executor_factory: Optional[Callable[[int], object]] = None
 
 
@@ -128,8 +127,6 @@ class ScanService:
         return NCheckerOptions(
             cache_dir=self.config.cache_dir,
             cache_backend=spec,
-            intra_jobs=self.config.intra_jobs,
-            eager_summaries=self.config.eager_summaries,
             enabled_checks=enabled,
         )
 
@@ -140,10 +137,19 @@ class ScanService:
                     self.config.workers
                 )
             else:
+                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
+                # Not `fork`: the pool starts while the first submitter's
+                # connection is still open, and a forked worker would hold
+                # that socket open after the daemon closes it, so the
+                # client would never see EOF.  Forkserver children inherit
+                # no client sockets; preloading the scan unit there keeps
+                # each worker start cheap.
+                context = multiprocessing.get_context("forkserver")
+                context.set_forkserver_preload([execute_scan.__module__])
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self.config.workers
+                    max_workers=self.config.workers, mp_context=context
                 )
         return self._executor
 
@@ -228,7 +234,11 @@ class ScanService:
             )
         apkt_text, filename = self._parse_submission(request)
         job = self.jobs.create(tenant, filename)
-        task = ServiceScanTask(apkt_text, filename, self.worker_options())
+        task = ScanTask(
+            filename, self.worker_options(), text=apkt_text,
+            want_json=True, want_sarif=True,
+            want_trace=True, want_metrics=True, want_profile=True,
+        )
         self.registry.inc("service.scans.submitted")
         asyncio.get_running_loop().create_task(self._run_job(job, task))
         self._update_gauges()
@@ -259,12 +269,12 @@ class ScanService:
         except UnicodeDecodeError:
             raise ProtocolError(400, "submission body is not UTF-8 text")
 
-    async def _run_job(self, job, task: ServiceScanTask) -> None:
+    async def _run_job(self, job, task: ScanTask) -> None:
         job.status = "running"
         self._update_gauges()
         loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(
+            payload = await loop.run_in_executor(
                 self._pool(), execute_scan, task
             )
         except Exception as exc:
@@ -272,24 +282,17 @@ class ScanService:
             job.error = f"worker crashed: {exc}"
             self.registry.inc("service.scans.failed")
         else:
-            job.package = result.package
-            job.n_findings = result.n_findings
-            job.n_requests = result.n_requests
-            job.json_dict = result.json_dict
-            job.sarif_kind_values = result.sarif_kind_values
-            job.sarif_results = result.sarif_results
-            job.metrics_snapshot = result.metrics_snapshot
-            job.trace_events = result.trace_events
-            if result.metrics_snapshot:
+            job.payload = payload
+            if payload.metrics_snapshot:
                 self._scan_metrics = merge_snapshots(
-                    [self._scan_metrics, result.metrics_snapshot]
+                    [self._scan_metrics, payload.metrics_snapshot]
                 )
-            if result.ok:
+            if payload.ok:
                 job.status = "done"
                 self.registry.inc("service.scans.completed")
             else:
                 job.status = "failed"
-                job.error = result.error
+                job.error = payload.error
                 self.registry.inc("service.scans.failed")
         job.finished_at = time.time()
         self._update_gauges()
@@ -305,12 +308,13 @@ class ScanService:
         if job.status == "failed":
             view["error"] = job.error
         if job.status == "done":
+            payload = job.payload
             view.update(
-                package=job.package,
-                findings=job.n_findings,
-                requests=job.n_requests,
-                result=job.json_dict,
-                counters=(job.metrics_snapshot or {}).get("counters", {}),
+                package=payload.package,
+                findings=payload.n_findings,
+                requests=payload.n_requests,
+                result=payload.json_dict,
+                counters=(payload.metrics_snapshot or {}).get("counters", {}),
                 links={
                     "findings": f"/v1/scans/{job.id}/findings",
                     "sarif": f"/v1/scans/{job.id}/sarif",
@@ -320,22 +324,23 @@ class ScanService:
         return view
 
     def _result_view(self, job, view: str) -> Response:
+        payload = job.payload
         if view == "findings":
             # Byte-identical to `nchecker scan --json` on the same app:
             # the same one-element document, dumps(indent=2), newline.
-            return json_response([job.json_dict])
+            return json_response([payload.json_dict])
         if view == "sarif":
             from ..eval.sarif import assemble_sarif_log
 
             sarif_log = assemble_sarif_log(
-                job.sarif_kind_values, job.sarif_results
+                payload.sarif_kind_values, payload.sarif_results
             )
             # No trailing newline: `scan --sarif FILE` write_text()s the
             # dumps output, and these bytes must match that file.
             return Response(
                 200, json.dumps(sarif_log, indent=2).encode("utf-8")
             )
-        return json_response(chrome_trace(job.trace_events))
+        return json_response(chrome_trace(payload.trace_events))
 
     # -- introspection -------------------------------------------------------
 

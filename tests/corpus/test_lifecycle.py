@@ -3,7 +3,7 @@ behind the extended-taxonomy precision/recall accounting (Table 6x)."""
 
 from repro.core.defects import DefectKind
 from repro.corpus.lifecycle import EXTENDED_KINDS, build_lifecycle_corpus
-from repro.pipeline.diskcache import app_content_fingerprint
+from repro.pipeline.cachestore import app_content_fingerprint
 
 
 class TestShape:

@@ -247,10 +247,10 @@ class TestEngineCache:
         apk = _deep_chain_app()
         checker = NChecker()
         checker.scan(apk)
-        assert checker.summary_cache.misses == 1
+        assert checker.sessions.misses == 1
         checker.scan(apk)
-        assert checker.summary_cache.hits == 1
-        assert checker.summary_cache.misses == 1
+        assert checker.sessions.hits == 1
+        assert checker.sessions.misses == 1
 
     def test_structural_change_invalidates(self):
         apk = _deep_chain_app()
@@ -263,7 +263,7 @@ class TestEngineCache:
         method = next(iter(next(iter(apk.classes())).methods()))
         insert_statements(method, 0, [NopStmt()])
         checker.scan(apk)
-        assert checker.summary_cache.misses == 2
+        assert checker.sessions.misses == 2
 
     def test_fingerprint_stable_for_unchanged_app(self):
         apk = _deep_chain_app()

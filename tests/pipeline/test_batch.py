@@ -7,7 +7,14 @@ import pytest
 
 from repro.cli import main
 from repro.core import NCheckerOptions
-from repro.pipeline.batch import BatchScanner, scan_corpus
+from repro.obs import metrics, tracer
+from repro.pipeline.batch import (
+    BatchScanner,
+    ScanTask,
+    capture_telemetry,
+    scan_corpus,
+    scan_one,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +42,8 @@ class TestPayloadParity:
         missing = str(tmp_path / "gone.apkt")
         (payload,) = BatchScanner(jobs=1).scan_paths([missing])
         assert not payload.ok
-        assert payload.error == f"error: no such file: {missing}"
+        # The unit stores the bare text; the CLI prefixes "error: ".
+        assert payload.error == f"no such file: {missing}"
 
     def test_options_reach_the_workers(self, corpus_dir):
         conn_only = NCheckerOptions(enabled_checks=frozenset({"connectivity"}))
@@ -46,6 +54,44 @@ class TestPayloadParity:
             f["kind"] for p in payloads for f in p.json_dict["findings"]
         }
         assert kinds <= {"missed-connectivity-check"}
+
+
+class TestScanUnit:
+    """One unit serves files and submitted text alike."""
+
+    def test_submitted_text_renders_like_the_file(self, corpus_dir):
+        path = str(corpus_dir[0])
+        wants = dict(want_json=True, want_sarif=True)
+        from_file = scan_one(ScanTask(path, **wants))
+        from_text = scan_one(
+            ScanTask(path, text=corpus_dir[0].read_text(), **wants)
+        )
+        assert from_text == from_file
+        assert from_file.json_dict and from_file.sarif_results
+
+    def test_parse_error_names_the_source(self):
+        payload = scan_one(ScanTask("upload.apkt", text="not an app"))
+        assert not payload.ok
+        assert payload.error.startswith("upload.apkt: ")
+
+    def test_a_passed_checker_is_reused(self, corpus_dir):
+        from repro.core import NChecker
+
+        checker = NChecker()
+        task = ScanTask(str(corpus_dir[0]), want_json=True)
+        first = scan_one(task, checker)
+        second = scan_one(task, checker)
+        assert first == second
+        assert checker.sessions.hits == 1
+
+    def test_capture_installs_nothing_when_nothing_is_asked(self):
+        outer_tracer, outer_registry = tracer(), metrics()
+        with capture_telemetry() as telemetry:
+            assert tracer() is outer_tracer and metrics() is outer_registry
+        assert telemetry.events == [] and telemetry.snapshot is None
+        with capture_telemetry(metrics=True):
+            assert not tracer().enabled and metrics() is not outer_registry
+        assert tracer() is outer_tracer and metrics() is outer_registry
 
 
 class TestCliByteIdentity:

@@ -12,7 +12,7 @@ aspirational.  On top of the protocol battery:
   builds on every backend, with hits attributed to the serving tier;
 * tiered promotion / write-through semantics;
 * format compatibility: ``LocalDirBackend`` reads a cache laid out by
-  the pre-split ``DiskCache`` formula, and the entry header is pinned
+  the pre-split disk-cache formula, and the entry header is pinned
   byte-for-byte;
 * CLI byte-identity across ``--cache-backend`` specs (disabled / cold /
   warm, with and without ``--jobs``).
@@ -44,7 +44,6 @@ from repro.pipeline.cachestore import (
     entry_digest,
     shared_memory_backend,
 )
-from repro.pipeline.diskcache import DiskCache
 from repro.service import ServiceConfig, start_in_thread
 from tests.conftest import single_request_app
 
@@ -438,7 +437,7 @@ class TestTieredScanTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# Format compatibility: the local backend and the pre-split DiskCache
+# Format compatibility: the local backend and the pre-split disk cache
 # speak the same on-disk dialect.
 # ---------------------------------------------------------------------------
 
@@ -446,7 +445,7 @@ class TestTieredScanTelemetry:
 class TestPreSplitFormatCompat:
     def test_entry_layout_is_pinned_to_the_pre_split_formula(self, tmp_path):
         """Entries land at <root>/v<FMT>/<fp[:2]>/<fp>/<kind>-<digest>.bin —
-        literally the path the pre-refactor ``DiskCache`` computed — so
+        literally the path the pre-split disk cache computed — so
         existing caches keep working across the split."""
         cache_dir = tmp_path / "cache"
         apk = fresh_apk()
@@ -503,16 +502,6 @@ class TestPreSplitFormatCompat:
         )
         assert app_builds(session) == dict.fromkeys(APP_KINDS, 0)
         assert finding_sigs(result) == finding_sigs(cold_result)
-
-    def test_diskcache_facade_keeps_the_legacy_api(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache")
-        assert isinstance(cache, CacheStore)
-        assert isinstance(cache.backend, LocalDirBackend)
-        assert cache.root == cache.backend.root
-        scan_with(cache.backend)
-        assert cache.stats().entries == len(cache._entry_files())
-        assert cache.gc(1 << 30) == (0, 0)
-        assert cache.clear() == len(PERSISTED_KINDS)
 
 
 # ---------------------------------------------------------------------------

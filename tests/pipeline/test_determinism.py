@@ -1,14 +1,16 @@
 """Output determinism across execution strategies.
 
 The pipeline promises that *how* a scan is executed never changes *what*
-it emits: process parallelism (``--jobs``), intra-app SCC parallelism
-(``--intra-jobs``), eager vs demand-driven summary evaluation
-(``--eager-summaries``), and the persistent disk cache (cold or warm)
-are all execution details.  Every test here runs the same corpus through
-the real CLI under one varied knob and asserts byte-identity against the
-serial, lazy, cache-less reference — for the human report, ``--json``,
-and ``--sarif`` alike — plus equality of the profile span-tree shape and
-the deterministic counters where the knob promises it.
+it emits: process parallelism (``--jobs``), eager vs demand-driven
+summary evaluation (``NCheckerOptions.eager_summaries``, a library and
+test hook with no CLI flag), and the persistent disk cache (cold or
+warm) are all execution details.  Every test here runs the same corpus
+under one varied knob and asserts identity against the serial, lazy,
+cache-less reference — for the human report, ``--json``, and ``--sarif``
+alike — plus the deterministic counters where the knob promises it.
+CLI knobs are exercised through the real CLI and compared byte for byte;
+option knobs are passed through the scan unit and compared payload for
+payload (the CLI prints nothing but what the payloads carry).
 """
 
 from __future__ import annotations
@@ -19,15 +21,26 @@ import pytest
 
 from repro.app import save_apk
 from repro.cli import main
+from repro.core import NCheckerOptions
 from repro.corpus import CorpusGenerator, PAPER_PROFILE
+from repro.obs import merge_snapshots
+from repro.pipeline.batch import BatchScanner
 
-#: CLI argument bundles that must not change any scan output.
+EAGER = NCheckerOptions(eager_summaries=True)
+
+#: Variants that must not change any scan output: CLI argument bundles
+#: (lists) or ``(options, jobs)`` pairs run through the scan unit.
 VARIANTS = {
-    "intra-parallel": ["--intra-jobs", "4"],
-    "eager-summaries": ["--eager-summaries"],
+    "eager-summaries": (EAGER, 1),
     "process-parallel": ["--jobs", "2"],
-    "everything-at-once": ["--intra-jobs", "4", "--eager-summaries",
-                           "--jobs", "2"],
+    "everything-at-once": (EAGER, 2),
+}
+
+#: The scan unit's output flags for each CLI output mode.
+MODE_WANTS = {
+    "report": {},
+    "json": {"want_json": True},
+    "sarif": {"want_sarif": True},
 }
 
 
@@ -47,31 +60,49 @@ def _scan(app_files, capsys, extra, mode_args):
     return code, capsys.readouterr().out
 
 
-class TestByteIdentity:
-    """stdout / --json / --sarif bytes are invariant under every knob."""
+def _unit(app_files, options, jobs, mode):
+    return BatchScanner(options=options, jobs=jobs).scan_paths(
+        app_files, **MODE_WANTS[mode]
+    )
 
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_report_stdout(self, app_files, capsys, variant):
-        ref_code, ref_out = _scan(app_files, capsys, [], [])
-        got_code, got_out = _scan(app_files, capsys, VARIANTS[variant], [])
-        assert got_code == ref_code
-        assert got_out == ref_out
 
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_json(self, app_files, capsys, variant):
-        _, ref_out = _scan(app_files, capsys, [], ["--json"])
-        _, got_out = _scan(app_files, capsys, VARIANTS[variant], ["--json"])
-        assert got_out == ref_out
+def _assert_identical(app_files, capsys, tmp_path, variant, mode):
+    """The variant reproduces the reference output of one CLI mode."""
+    knob = VARIANTS[variant]
+    if isinstance(knob, tuple):
+        reference = _unit(app_files, NCheckerOptions(), 1, mode)
+        assert _unit(app_files, *knob, mode) == reference
+        return
+    if mode == "sarif":
+        ref_file, got_file = tmp_path / "ref.sarif", tmp_path / "got.sarif"
+        _scan(app_files, capsys, [], ["--sarif", str(ref_file)])
+        _scan(app_files, capsys, knob, ["--sarif", str(got_file)])
+        assert got_file.read_bytes() == ref_file.read_bytes()
+        assert json.loads(ref_file.read_text())["runs"]
+        return
+    mode_args = ["--json"] if mode == "json" else []
+    ref_code, ref_out = _scan(app_files, capsys, [], mode_args)
+    got_code, got_out = _scan(app_files, capsys, knob, mode_args)
+    assert got_code == ref_code
+    assert got_out == ref_out
+    if mode == "json":
         assert json.loads(ref_out)  # sanity: it really is the JSON mode
+
+
+class TestByteIdentity:
+    """stdout / --json / --sarif output is invariant under every knob."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_report_stdout(self, app_files, capsys, tmp_path, variant):
+        _assert_identical(app_files, capsys, tmp_path, variant, "report")
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_json(self, app_files, capsys, tmp_path, variant):
+        _assert_identical(app_files, capsys, tmp_path, variant, "json")
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_sarif(self, app_files, capsys, tmp_path, variant):
-        ref_file = tmp_path / "ref.sarif"
-        got_file = tmp_path / "got.sarif"
-        _scan(app_files, capsys, [], ["--sarif", str(ref_file)])
-        _scan(app_files, capsys, VARIANTS[variant], ["--sarif", str(got_file)])
-        assert got_file.read_bytes() == ref_file.read_bytes()
-        assert json.loads(ref_file.read_text())["runs"]
+        _assert_identical(app_files, capsys, tmp_path, variant, "sarif")
 
 
 class TestDiskCacheIdentity:
@@ -89,52 +120,17 @@ class TestDiskCacheIdentity:
         assert warm_out == ref_out
 
 
-def _profile_shape(tree: dict) -> list:
-    """The span tree reduced to its deterministic shape: names, call
-    counts, and child shapes (timings vary run to run)."""
-    return sorted(
-        (name, node["count"], _profile_shape(node.get("children", {})))
-        for name, node in tree.items()
+def _counters(app_files, options):
+    payloads = BatchScanner(options=options).scan_paths(
+        app_files, want_metrics=True
     )
-
-
-def _count_nodes(tree: dict) -> int:
-    return sum(1 + _count_nodes(node.get("children", {})) for node in tree.values())
+    return merge_snapshots([p.metrics_snapshot for p in payloads])["counters"]
 
 
 class TestProfileAndCounters:
-    """--intra-jobs N keeps the whole telemetry surface identical: the
-    profile span tree has the same shape and the counters the same
-    values as a serial run."""
-
-    def _snapshot(self, app_files, capsys, tmp_path, label, extra):
-        out = tmp_path / f"{label}.json"
-        main(["scan", "--no-disk-cache", "--metrics", str(out),
-              *extra, *app_files])
-        capsys.readouterr()
-        return json.loads(out.read_text())
-
-    def test_intra_parallel_matches_serial(self, app_files, capsys, tmp_path):
-        serial = self._snapshot(app_files, capsys, tmp_path, "serial", [])
-        parallel = self._snapshot(
-            app_files, capsys, tmp_path, "parallel", ["--intra-jobs", "4"]
-        )
-        assert _count_nodes(parallel["profile"]) == _count_nodes(
-            serial["profile"]
-        )
-        assert _profile_shape(parallel["profile"]) == _profile_shape(
-            serial["profile"]
-        )
-        assert parallel["counters"] == serial["counters"]
-        # The demand-driven engine really ran (and was exercised above).
-        assert serial["counters"]["dataflow.bool_fact_sccs"] > 0
-
-    def test_eager_does_strictly_more_scc_work(self, app_files, capsys, tmp_path):
-        lazy = self._snapshot(app_files, capsys, tmp_path, "lazy", [])
-        eager = self._snapshot(
-            app_files, capsys, tmp_path, "eager", ["--eager-summaries"]
-        )
-        assert (
-            eager["counters"]["dataflow.bool_fact_sccs"]
-            > lazy["counters"]["dataflow.bool_fact_sccs"]
-        )
+    def test_eager_does_strictly_more_scc_work(self, app_files):
+        lazy = _counters(app_files, NCheckerOptions())
+        eager = _counters(app_files, EAGER)
+        # The demand-driven engine really ran.
+        assert lazy["dataflow.bool_fact_sccs"] > 0
+        assert eager["dataflow.bool_fact_sccs"] > lazy["dataflow.bool_fact_sccs"]

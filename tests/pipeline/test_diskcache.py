@@ -1,5 +1,5 @@
 """Persistent cross-run artifact cache over the default local backend
-(`repro.pipeline.cachestore`, via the `repro.pipeline.diskcache` facade).
+(`repro.pipeline.cachestore`'s ``LocalDirBackend``).
 
 The contract under test: a warm re-scan of an unchanged app performs
 zero app-scoped artifact builds, scan output is byte-identical with the
@@ -23,11 +23,11 @@ from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from repro.core.patcher import Patcher
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
 from repro.ir.statements import NopStmt
-from repro.pipeline.cachestore import fingerprints
-from repro.pipeline.diskcache import (
+from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
-    DiskCache,
+    LocalDirBackend,
     app_content_fingerprint,
+    fingerprints,
     format_size,
     parse_size,
     registry_fingerprint,
@@ -152,15 +152,15 @@ class TestWarmScan:
         cache_dir = tmp_path / "cache"
         _r, _s = scan_once(None)
         assert not cache_dir.exists()
-        assert DiskCache(cache_dir)._entry_files() == []
+        assert LocalDirBackend(cache_dir)._entry_files() == []
 
     def test_repeat_scan_rewrites_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
         _r, session = scan_once(cache_dir)
-        entries = {p: p.stat().st_mtime_ns for p in DiskCache(cache_dir)._entry_files()}
+        entries = {p: p.stat().st_mtime_ns for p in LocalDirBackend(cache_dir)._entry_files()}
         assert entries
         session.scan()  # same session, same fingerprint: already synced
-        after = {p: p.stat().st_mtime_ns for p in DiskCache(cache_dir)._entry_files()}
+        after = {p: p.stat().st_mtime_ns for p in LocalDirBackend(cache_dir)._entry_files()}
         assert after == entries
 
     def test_format_version_bump_is_cold(self, tmp_path, monkeypatch):
@@ -182,7 +182,7 @@ class TestWarmScan:
 
 class TestCorruption:
     def entry(self, cache_dir, kind) -> "list":
-        return [p for p in DiskCache(cache_dir)._entry_files()
+        return [p for p in LocalDirBackend(cache_dir)._entry_files()
                 if p.name.startswith(f"{kind}-")]
 
     def corrupt_and_rescan(self, tmp_path, mutate, kind="summaries"):
@@ -288,7 +288,7 @@ class TestManagement:
     def populated(self, tmp_path):
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir)
-        return DiskCache(cache_dir)
+        return LocalDirBackend(cache_dir)
 
     def test_stats(self, tmp_path):
         cache = self.populated(tmp_path)
@@ -345,7 +345,7 @@ class TestManagement:
         assert cache.stats().entries == 0
 
     def test_stats_on_missing_root(self, tmp_path):
-        cache = DiskCache(tmp_path / "never-created")
+        cache = LocalDirBackend(tmp_path / "never-created")
         assert cache.stats().entries == 0
         assert cache.gc(0) == (0, 0)
         assert cache.clear() == 0
@@ -466,7 +466,7 @@ class TestExtendedChecksCache:
     def test_default_scan_never_persists_threadcontext(self, tmp_path):
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir)
-        entries = DiskCache(cache_dir)._entry_files()
+        entries = LocalDirBackend(cache_dir)._entry_files()
         assert entries
         assert not [p for p in entries if p.name.startswith("threadcontext-")]
 

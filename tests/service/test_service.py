@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import socket
 
 import pytest
 
@@ -96,6 +97,33 @@ class TestScanLifecycle:
         assert health["workers"] == 1
         assert health["cache"] is True
         assert set(health["jobs"]) == {"queued", "running", "done", "failed"}
+
+
+class TestFirstSubmission:
+    def test_first_response_reaches_eof(self):
+        """The worker pool starts during the first submission, while that
+        client's connection is still open.  Workers must not inherit the
+        socket, or the client reading to EOF never gets one."""
+        handle = start_in_thread(ServiceConfig(port=0, workers=1))
+        try:
+            body = app_text("com.first.submission").encode()
+            head = (
+                "POST /v1/scans HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                "Content-Type: text/plain\r\n"
+                f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+            )
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=10
+            ) as sock:
+                sock.sendall(head.encode() + body)
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            assert reply.startswith(b"HTTP/1.1 202")
+            job = json.loads(reply.partition(b"\r\n\r\n")[2])
+            assert wait_done(handle.base_url, job["id"])["status"] == "done"
+        finally:
+            handle.stop()
 
 
 class TestBadRequests:

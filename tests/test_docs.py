@@ -85,8 +85,9 @@ class TestReadmeClaims:
 
 
 class TestCliDoc:
-    """docs/CLI.md stays exhaustive: every subcommand and flag the
-    argparse tree defines must appear there."""
+    """docs/CLI.md stays exhaustive and current: every subcommand and
+    flag the argparse tree defines must appear there, and every flag it
+    mentions must exist."""
 
     def cli_surface(self):
         """(path, flags) per parser in the subcommand tree."""
@@ -123,6 +124,24 @@ class TestCliDoc:
                 if f"`{flag}" not in doc and f"{flag} " not in doc:
                     missing.append(f"{'/'.join(path)}: {flag}")
         assert not missing, f"undocumented CLI surface: {missing}"
+
+    def test_every_documented_flag_exists(self):
+        """The reverse direction: a flag removed from the parser must
+        leave the page too.  Flags count when backticked in prose or
+        given on an ``nchecker`` command line in a code block (other
+        tools' flags, like curl's, live only in code blocks)."""
+        doc = (ROOT / "docs" / "CLI.md").read_text()
+        flag = r"--[a-z][a-z0-9-]*"
+        prose = re.sub(r"```.*?```", "", doc, flags=re.DOTALL)
+        documented = set(re.findall(rf"`({flag})", prose))
+        for block in re.findall(r"```.*?```", doc, flags=re.DOTALL):
+            for line in block.splitlines():
+                if line.startswith("nchecker "):
+                    documented.update(re.findall(rf"(?<!\S)({flag})", line))
+        assert "--jobs" in documented  # sanity: the extraction works
+        existing = set().union(*(flags for _path, flags in self.cli_surface()))
+        stale = sorted(documented - existing)
+        assert not stale, f"docs/CLI.md mentions removed flags: {stale}"
 
     def test_readme_points_at_the_new_docs(self):
         readme = (ROOT / "README.md").read_text()
