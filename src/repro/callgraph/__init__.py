@@ -21,7 +21,12 @@ from .entrypoints import (
     entry_points_by_key,
     method_key,
 )
-from .reachability import CallChain, chains_to_method, entries_reaching
+from .reachability import (
+    CallChain,
+    chains_to_method,
+    chains_to_methods,
+    entries_reaching,
+)
 from .resolve import MethodAnalysisCache, collect_field_types, origin_classes
 
 __all__ = [
@@ -40,6 +45,7 @@ __all__ = [
     "MethodAnalysisCache",
     "MethodKey",
     "chains_to_method",
+    "chains_to_methods",
     "collect_field_types",
     "discover_entry_points",
     "entries_reaching",

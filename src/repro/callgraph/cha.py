@@ -31,7 +31,7 @@ from ..app.components import (
     THREAD_START_METHODS,
 )
 from ..ir.method import IRMethod
-from ..ir.values import InvokeExpr, KIND_STATIC, Local
+from ..ir.values import InvokeExpr, Local
 from ..libmodels.annotations import LibraryRegistry
 from .entrypoints import EntryPoint, MethodKey, discover_entry_points, method_key
 from .resolve import MethodAnalysisCache, collect_field_types, origin_classes
@@ -348,21 +348,23 @@ class CallGraph:
         return self.in_edges.get(key, [])
 
     def reachable_from(self, start: MethodKey) -> set[MethodKey]:
-        seen = {start}
-        frontier = deque([start])
+        return self._reachable((start,))
+
+    def reachable_from_entries(self) -> set[MethodKey]:
+        return self._reachable(
+            entry.key for entry in self.entry_points if entry.key in self.methods
+        )
+
+    def _reachable(self, starts: Iterable[MethodKey]) -> set[MethodKey]:
+        """Methods reachable from any of ``starts`` (one multi-source BFS)."""
+        seen = set(starts)
+        frontier = deque(seen)
         while frontier:
             node = frontier.popleft()
             for edge in self.out_edges.get(node, ()):
                 if edge.callee not in seen:
                     seen.add(edge.callee)
                     frontier.append(edge.callee)
-        return seen
-
-    def reachable_from_entries(self) -> set[MethodKey]:
-        seen: set[MethodKey] = set()
-        for entry in self.entry_points:
-            if entry.key in self.methods and entry.key not in seen:
-                seen |= self.reachable_from(entry.key)
         return seen
 
     def __repr__(self) -> str:

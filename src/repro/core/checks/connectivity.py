@@ -20,8 +20,6 @@ injects that pattern, and this check exhibits the same FP behaviour.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...callgraph.entrypoints import MethodKey
 from ...dataflow.slicing import Slicer
 from ...ir.values import InvokeExpr
@@ -30,6 +28,9 @@ from ..defects import DefectKind
 from ..findings import Finding, context_of
 from ..requests import AnalysisContext, NetworkRequest
 from .base import methods_invoking, request_frames
+
+#: App connectivity helpers by (method name, arity) → declaring classes.
+HelperIndex = dict[tuple[str, int], frozenset[str]]
 
 
 class ConnectivityCheck:
@@ -72,9 +73,12 @@ class ConnectivityCheck:
                 checker_methods = ctx.summaries.connectivity_methods()
             else:
                 checker_methods = methods_invoking(ctx, is_connectivity_check)
+        # Built per run, never kept on the check: the daemon reuses check
+        # objects across apps.
+        helpers = _helper_index(checker_methods)
         findings: list[Finding] = []
         for request in requests:
-            unguarded = self._unguarded_chains(ctx, request, checker_methods)
+            unguarded = self._unguarded_chains(ctx, request, helpers)
             if unguarded == 0:
                 continue
             findings.append(
@@ -98,12 +102,12 @@ class ConnectivityCheck:
         self,
         ctx: AnalysisContext,
         request: NetworkRequest,
-        checker_methods: set[MethodKey],
+        helpers: HelperIndex,
     ) -> int:
         """Number of entry→request chains with no connectivity check."""
         unguarded = 0
         for frames in request_frames(request):
-            if not self._chain_checked(ctx, frames, checker_methods):
+            if not self._chain_checked(ctx, frames, helpers):
                 unguarded += 1
         return unguarded
 
@@ -111,7 +115,7 @@ class ConnectivityCheck:
         self,
         ctx: AnalysisContext,
         frames: list[tuple[MethodKey, int]],
-        checker_methods: set[MethodKey],
+        helpers: HelperIndex,
     ) -> bool:
         if not self.interprocedural:
             frames = frames[-1:]
@@ -119,14 +123,14 @@ class ConnectivityCheck:
             method = ctx.callgraph.methods.get(key)
             if method is None:
                 continue
-            if self._checked_in_method(ctx, method, site, checker_methods):
+            if self._checked_in_method(ctx, method, site, helpers):
                 return True
         if self.icc_model is not None and frames:
-            return self._checked_by_launcher(ctx, frames[0][0], checker_methods)
+            return self._checked_by_launcher(ctx, frames[0][0], helpers)
         return False
 
     def _checked_by_launcher(
-        self, ctx: AnalysisContext, entry_key: MethodKey, checker_methods
+        self, ctx: AnalysisContext, entry_key: MethodKey, helpers: HelperIndex
     ) -> bool:
         """ICC extension: a check preceding the ``startActivity`` that
         launches this component counts as guarding its requests."""
@@ -135,21 +139,19 @@ class ConnectivityCheck:
             launcher = ctx.callgraph.methods.get(site.caller)
             if launcher is None:
                 continue
-            if self._checked_in_method(
-                ctx, launcher, site.stmt_index, checker_methods
-            ):
+            if self._checked_in_method(ctx, launcher, site.stmt_index, helpers):
                 return True
         return False
 
     def _checked_in_method(
-        self, ctx, method, before_site: int, checker_methods: set[MethodKey]
+        self, ctx, method, before_site: int, helpers: HelperIndex
     ) -> bool:
         cfg = ctx.cache.cfg(method)
         check_sites = []
         for idx, invoke in method.invoke_sites():
             if idx == before_site:
                 continue
-            if self._is_check_invoke(ctx, invoke, checker_methods):
+            if _is_check_invoke(invoke, helpers):
                 if cfg.reaches(idx, before_site):
                     check_sites.append(idx)
         if not check_sites:
@@ -162,21 +164,20 @@ class ConnectivityCheck:
         guard_slice = slicer.backward_slice(before_site, locals_of_interest=set())
         return any(site in guard_slice for site in check_sites)
 
-    def _is_check_invoke(
-        self, ctx, invoke: InvokeExpr, checker_methods: set[MethodKey]
-    ) -> bool:
-        if is_connectivity_check(invoke):
-            return True
-        if not self.interprocedural:
-            return False
-        # A call into an app helper that performs the check.
-        candidates = [
-            key
-            for key in checker_methods
-            if key[1] == invoke.sig.name and key[2] == invoke.sig.arity
-        ]
-        if not candidates:
-            return False
-        if invoke.sig.class_name == "?":
-            return True
-        return any(key[0] == invoke.sig.class_name for key in candidates)
+
+def _helper_index(checker_methods: set[MethodKey]) -> HelperIndex:
+    grouped: dict[tuple[str, int], set[str]] = {}
+    for cls_name, name, arity in checker_methods:
+        grouped.setdefault((name, arity), set()).add(cls_name)
+    return {sig: frozenset(classes) for sig, classes in grouped.items()}
+
+
+def _is_check_invoke(invoke: InvokeExpr, helpers: HelperIndex) -> bool:
+    if is_connectivity_check(invoke):
+        return True
+    # A call into an app helper that performs the check; an unresolved
+    # receiver matches a helper of any class.
+    classes = helpers.get((invoke.sig.name, invoke.sig.arity))
+    if classes is None:
+        return False
+    return invoke.sig.class_name == "?" or invoke.sig.class_name in classes

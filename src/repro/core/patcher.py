@@ -53,7 +53,6 @@ from ..ir.statements import (
     GotoStmt,
     IfStmt,
     InvokeStmt,
-    NopStmt,
     ReturnStmt,
     Stmt,
 )
@@ -388,7 +387,7 @@ class Patcher:
         return self._set_retries(method, finding, value)
 
     def _fix_retry_value(self, apk: APK, method: IRMethod, finding: Finding) -> str:
-        request = self._require_request(finding)
+        self._require_request(finding)
         value = self.user_retries
         if finding.kind in (DefectKind.OVER_RETRY_SERVICE, DefectKind.OVER_RETRY_POST):
             value = 0
@@ -477,7 +476,6 @@ class Patcher:
         return f"installed DefaultRetryPolicy({self.default_timeout_ms}, {retries}, 1)"
 
     def _fix_notification(self, apk: APK, method: IRMethod, finding: Finding) -> str:
-        request = finding.request
         site = self._current_index_of(method, finding)
         # Preferred spot: the catch block covering the request.
         traps = method.traps_covering(site) if site < len(method.statements) else []

@@ -20,9 +20,8 @@ from typing import TYPE_CHECKING, Optional
 from ..app.apk import APK
 from ..callgraph.cha import CallGraph
 from ..callgraph.entrypoints import EntryPoint, MethodKey, method_key
-from ..callgraph.reachability import CallChain, chains_to_method
+from ..callgraph.reachability import CallChain, chains_to_methods
 from ..callgraph.resolve import MethodAnalysisCache, origin_classes
-from ..dataflow.constants import ConstantPropagation
 from ..dataflow.taint import trace_origins
 from ..ir.method import IRMethod
 from ..ir.statements import AssignStmt
@@ -155,10 +154,12 @@ def find_requests(ctx: AnalysisContext) -> list[NetworkRequest]:
                 if found is None:
                     continue
                 library, target = found
-                request = NetworkRequest(method, idx, invoke, library, target)
-                request.chains = chains_to_method(ctx.callgraph, request.key)
-                request.http_method = _infer_http_method(ctx, request)
-                requests.append(request)
+                requests.append(NetworkRequest(method, idx, invoke, library, target))
+    # One batch search: requests in the same method share their chains.
+    chains = chains_to_methods(ctx.callgraph, [r.key for r in requests])
+    for request in requests:
+        request.chains = chains[request.key]
+        request.http_method = _infer_http_method(ctx, request)
     return requests
 
 

@@ -13,7 +13,7 @@ fix removes both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..app.apk import APK
 from ..core.defects import DefectKind, Impact
@@ -202,7 +202,7 @@ def _chatsecure(with_catch: bool) -> APK:
     if with_catch:
         region = body.begin_try()
         body.call(conn, "connect")
-        ok = body.call(conn, "isConnected", ret="ok", return_type="boolean")
+        body.call(conn, "isConnected", ret="ok", return_type="boolean")
         with body.if_then("==", Local("ok"), True):
             body.call(conn, "login")
         body.begin_catch(region, "java.io.IOException")
@@ -291,7 +291,7 @@ def _kontalk(with_guard: bool) -> APK:
     )
     if with_guard:
         cm = body.new("android.net.ConnectivityManager", "cm")
-        ni = body.call(cm, "getActiveNetworkInfo", ret="ni")
+        body.call(cm, "getActiveNetworkInfo", ret="ni")
         skip = body.fresh_label("offline")
         body.if_goto("==", Local("ni"), None, skip)
         _kontalk_sync_loop(body)

@@ -10,7 +10,7 @@ Figures 8–9.  Every rate below cites the paper sentence it encodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

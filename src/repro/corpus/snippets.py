@@ -642,7 +642,7 @@ def _emit_fig6c(app, body, spec, client, verb, extra_args) -> None:
         body.begin_catch(region, "java.io.IOException")
         _emit_notification(app, body, spec)
         _emit_backoff(body, spec, "delay")
-        should = body.static_call(
+        body.static_call(
             "java.lang.Math", "random", ret="should", return_type="boolean"
         )
         body.assign("retry", Local("should"))

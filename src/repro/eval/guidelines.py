@@ -28,7 +28,6 @@ def derive_guidelines(results: list[ScanResult]) -> list[Guideline]:
     """Recompute Table 11 from a corpus scan."""
     rows = {r.cause: r for r in table6(results)}
     flags = [app_flags(r) for r in results]
-    retry_apps = [f for f in flags if f.retry_lib_requests]
     custom_retry_apps = sum(1 for f in flags if f.custom_retry_loops)
     over_retries = sum(f.over_retries for f in flags)
     default_over = sum(f.default_caused_over_retries for f in flags)

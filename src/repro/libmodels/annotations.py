@@ -262,10 +262,10 @@ class LibraryRegistry:
 
     def counts(self) -> dict[str, int]:
         return {
-            "target_apis": sum(len(l.target_apis) for l in self.libraries.values()),
-            "config_apis": sum(len(l.config_apis) for l in self.libraries.values()),
+            "target_apis": sum(len(lib.target_apis) for lib in self.libraries.values()),
+            "config_apis": sum(len(lib.config_apis) for lib in self.libraries.values()),
             "response_check_apis": sum(
-                len(l.response_check_apis) for l in self.libraries.values()
+                len(lib.response_check_apis) for lib in self.libraries.values()
             ),
             "libraries": len(self.libraries),
         }

@@ -124,3 +124,73 @@ class TestInterprocedural:
         options = NCheckerOptions(interprocedural_connectivity=False)
         result = NChecker(options=options).scan(app.build())
         assert len(_conn_findings(result)) == 1
+
+
+_CONN_MGR = "android.net.ConnectivityManager"
+
+
+def _helper(app, name, arity, checks):
+    """A static ``isOnline`` helper of ``arity`` parameters; it calls
+    ``getActiveNetworkInfo`` only when ``checks``."""
+    helper = app.new_class(name)
+    params = [("android.content.Context", f"c{i}") for i in range(arity)]
+    b = helper.method(
+        "isOnline", params=params, return_type="boolean", is_static=True
+    )
+    if checks:
+        cm = b.new(_CONN_MGR, "cm")
+        b.call(cm, "getActiveNetworkInfo", ret="ni", cls=_CONN_MGR)
+    b.ret(True)
+    helper.add(b)
+    return helper.name
+
+
+def _helper_index_app():
+    """One activity per helper-call shape.  Each click handler makes the
+    call, then calls ``doFetch``, which issues an unchecked request."""
+    from repro.corpus.appbuilder import AppBuilder
+    from repro.corpus.snippets import inject_request
+    from repro.ir import Local
+
+    app = AppBuilder("com.test.helpers")
+    net_a = _helper(app, "NetA", 0, checks=True)
+    net_b = _helper(app, "NetB", 0, checks=True)
+    net_c = _helper(app, "NetC", 0, checks=False)
+    view = Local("v")
+    shapes = {
+        "ViaA": lambda b: b.static_call(net_a, "isOnline", ret="ok"),
+        # Same name and arity as NetA's helper, in another class.
+        "ViaB": lambda b: b.static_call(net_b, "isOnline", ret="ok"),
+        # Same name and arity, but this class's helper checks nothing.
+        "ViaC": lambda b: b.static_call(net_c, "isOnline", ret="ok"),
+        # Unresolved receiver ("?"): any helper's class matches.
+        "Unresolved": lambda b: b.call(view, "isOnline", ret="ok"),
+        # Same name, different arity: no helper matches.
+        "WrongArity": lambda b: b.static_call(net_a, "isOnline", view, ret="ok"),
+        "UnresolvedWrongArity": lambda b: b.call(view, "isOnline", view, ret="ok"),
+    }
+    for name, emit_call in shapes.items():
+        activity = app.activity(name)
+        body = activity.method("onClick", params=[("android.view.View", "v")])
+        emit_call(body)
+        body.call(Local("this"), "doFetch", cls=activity.name)
+        body.ret()
+        activity.add(body)
+        fetch = activity.method("doFetch")
+        inject_request(app, fetch, RequestSpec(), user_initiated=True)
+        fetch.ret()
+        activity.add(fetch)
+    return app.build()
+
+
+class TestHelperIndex:
+    """App helpers are matched by (name, arity) and then by class."""
+
+    @pytest.mark.parametrize("summary_based", [True, False])
+    def test_helper_matching(self, summary_based):
+        options = NCheckerOptions(summary_based=summary_based)
+        result = NChecker(options=options).scan(_helper_index_app())
+        flagged = {
+            f.method_key[0].rsplit(".", 1)[1] for f in _conn_findings(result)
+        }
+        assert flagged == {"ViaC", "WrongArity", "UnresolvedWrongArity"}

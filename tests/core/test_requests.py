@@ -129,3 +129,46 @@ class TestHttpMethodInference:
         activity.add(body)
         request = _requests(app.build())[0]
         assert request.http_method is HttpMethod.ANY
+
+
+def _modular_apk(modules: int):
+    """One app merging the first ``modules`` paper-profile corpus apps."""
+    from repro.app import APK, Manifest
+    from repro.corpus import PAPER_PROFILE, CorpusGenerator
+
+    generator = CorpusGenerator(PAPER_PROFILE)
+    manifest = Manifest("com.test.modular")
+    classes = []
+    for index in range(modules):
+        apk, _ = generator.generate_app(index)
+        for kind, name in apk.manifest.components():
+            manifest.declare(kind, name)
+        classes.extend(apk.classes())
+    return APK(manifest, classes)
+
+
+def _callee_queries_per_request(modules: int) -> float:
+    ctx = AnalysisContext.build(_modular_apk(modules), default_registry())
+    graph = ctx.callgraph
+    queries = 0
+    callees = graph.callees
+
+    def counting(key):
+        nonlocal queries
+        queries += 1
+        return callees(key)
+
+    graph.callees = counting
+    requests = find_requests(ctx)
+    assert requests
+    return queries / len(requests)
+
+
+class TestScaling:
+    def test_chain_search_work_per_request_is_flat_in_app_size(self):
+        """The chain search walks only each request's backward cone, so
+        its call-graph queries per request do not grow with the number
+        of entry points an app has."""
+        small, mid, large = (_callee_queries_per_request(n) for n in (10, 20, 40))
+        assert mid <= 1.5 * small
+        assert large <= 1.5 * small
