@@ -17,6 +17,7 @@ from repro.corpus import (
     overall_accuracy,
     table9_confusions,
 )
+from repro.obs import use_metrics
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +131,9 @@ def test_ablation_summary_engine(benchmark, corpus):
     request) the two modes must agree — the engine is a strict
     generalisation.  On apps that pass the configured client through
     helper frames, only summary mode suppresses the false alarms.  The
-    per-APK engine cache also makes repeat scans cheaper: re-scanning the
-    corpus hits the cache once per app.
+    per-APK session cache also makes repeat scans cheaper: re-scanning the
+    corpus builds no new call graph, so there is one build per distinct
+    app.
     """
     import time
 
@@ -168,12 +170,13 @@ def test_ablation_summary_engine(benchmark, corpus):
     legacy_s = time.perf_counter() - start
 
     summary_checker = NChecker()
-    start = time.perf_counter()
-    summary_results = benchmark.pedantic(
-        lambda: [summary_checker.scan(apk) for apk, _ in corpus],
-        rounds=1, iterations=1,
-    )
-    summary_s = time.perf_counter() - start
+    with use_metrics() as summary_registry:
+        start = time.perf_counter()
+        summary_results = benchmark.pedantic(
+            lambda: [summary_checker.scan(apk) for apk, _ in corpus],
+            rounds=1, iterations=1,
+        )
+        summary_s = time.perf_counter() - start
 
     legacy_table = table9_confusions(truths, legacy_results)
     summary_table = table9_confusions(truths, summary_results)
@@ -197,11 +200,13 @@ def test_ablation_summary_engine(benchmark, corpus):
         ),
     }
 
-    # Cache effectiveness: the second sweep reuses every engine.
-    start = time.perf_counter()
-    for apk, _ in corpus:
-        summary_checker.scan(apk)
-    rescan_s = time.perf_counter() - start
+    # Cache effectiveness: the second sweep reuses every session.
+    with use_metrics(summary_registry):
+        start = time.perf_counter()
+        for apk, _ in corpus:
+            summary_checker.scan(apk)
+        rescan_s = time.perf_counter() - start
+    callgraph_builds = summary_registry.counter_value("artifact.callgraph.builds")
 
     print(
         f"\ncorpus ({len(corpus)} apps): one-hop correct={legacy_correct} "
@@ -210,7 +215,7 @@ def test_ablation_summary_engine(benchmark, corpus):
         f"                  summaries correct={summary_correct} "
         f"FP={summary_fp} acc={overall_accuracy(summary_table):.3f} "
         f"in {summary_s * 1000:.0f} ms (rescan {rescan_s * 1000:.0f} ms, "
-        f"{summary_checker.sessions.hits} cache hits)\n"
+        f"{callgraph_builds} call-graph builds)\n"
         f"deep config chains ({len(deep_apps)} apps): "
         f"one-hop FPs={deep_config_fps['one-hop']}, "
         f"summary FPs={deep_config_fps['summary']}"
@@ -220,7 +225,7 @@ def test_ablation_summary_engine(benchmark, corpus):
     assert summary_fp <= legacy_fp
     assert deep_config_fps["one-hop"] == 2 * len(deep_apps)
     assert deep_config_fps["summary"] == 0
-    assert summary_checker.sessions.hits >= len(corpus)
+    assert callgraph_builds == len({apk.package for apk, _ in corpus})
 
 
 def test_ablation_notification_depth(benchmark):

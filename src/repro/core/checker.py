@@ -221,9 +221,9 @@ class NChecker:
         return self.sessions.session_for(apk, self.registry, self.options)
 
     def open_session(self, apk: APK) -> "ScanSession":
-        """A fresh, uncached session over ``apk`` — the patcher's entry
-        point for incremental re-scan loops, where the caller owns the
-        app object and mutates it in place between scans."""
+        """A fresh, uncached session over ``apk`` — for callers that
+        mutate the app in place between scans (the patch loop opens one
+        per round) or must not share a cached store."""
         from ..pipeline.scan import ScanSession
 
         return ScanSession(apk, self.registry, self.options)

@@ -34,11 +34,9 @@ intraprocedural :class:`~repro.dataflow.taint.TaintPolicy` always
 applied: their results are assumed to carry any taint their operands
 carry.
 
-Summaries are memoized for the lifetime of the engine, and
-:class:`SummaryCache` keeps one engine per APK (keyed by a structural
-fingerprint, so patched/rebuilt apps miss), which is what makes repeat
-``scan()`` calls and corpus sweeps stop re-deriving the same facts per
-request.
+Summaries are memoized for the lifetime of the engine, and the engine
+lives in its app's artifact store, so repeat ``scan()`` calls stop
+re-deriving the same facts per request.
 """
 
 from __future__ import annotations
@@ -189,9 +187,7 @@ class SummaryEngine:
         #: queries build the whole-app fact map, the pre-demand-driven
         #: behavior.
         self.eager: bool = False
-        #: SCC condensation of the call graph, computed lazily so an
-        #: incremental invalidation (which refreshes edges) can simply
-        #: drop it and have the next fact pass recompute the order.
+        #: SCC condensation of the call graph, computed on first use.
         self._scc_order: Optional[tuple[list, dict]] = None
         self._bool_states: dict[str, _BoolFactState] = {}
         self._ptr: dict["MethodKey", frozenset[int]] = {}
@@ -221,29 +217,6 @@ class SummaryEngine:
     @property
     def scc_position(self) -> dict:
         return self._ensure_scc_order()[1]
-
-    # -- incremental invalidation -------------------------------------------
-
-    def invalidate_methods(self, keys: Iterable["MethodKey"]) -> None:
-        """Drop every memoized fact that may depend on the given methods.
-
-        Callers must pass the full dependency cone (the dirty methods plus
-        their transitive callers — a summary folds in its callees'
-        summaries, so dirtying a callee dirties every caller above it).
-        The boolean fact maps and the SCC order are whole-app artifacts
-        over call-graph edges and are dropped wholesale; they recompute in
-        one cheap pass on next use.
-        """
-        keys = set(keys)
-        obs_metrics().observe("dataflow.invalidation_cone", len(keys))
-        self._scc_order = None
-        self._bool_states.clear()
-        self._widened -= keys
-        for key in keys:
-            self._ptr.pop(key, None)
-            self._direct_maps.pop(key, None)
-        for memo_key in [mk for mk in self._config if mk[0] in keys]:
-            del self._config[memo_key]
 
     # -- transitive boolean facts -------------------------------------------
 
@@ -655,13 +628,13 @@ class SummaryEngine:
 
 
 # ---------------------------------------------------------------------------
-# Per-APK engine cache
+# Structural fingerprint
 # ---------------------------------------------------------------------------
 
 
 def apk_fingerprint(apk: "APK") -> int:
     """A cheap structural fingerprint: any statement inserted or removed
-    (the patcher's edits) changes it, invalidating cached summaries."""
+    changes it, so the session cache misses and rebuilds."""
     return hash(
         tuple(
             sorted(
@@ -670,34 +643,3 @@ def apk_fingerprint(apk: "APK") -> int:
             )
         )
     )
-
-
-@dataclass
-class SummaryCache:
-    """One summary engine per APK, LRU-bounded for corpus sweeps."""
-
-    max_entries: int = 64
-    hits: int = 0
-    misses: int = 0
-    _engines: dict[str, tuple[int, SummaryEngine]] = field(default_factory=dict)
-
-    def engine_for(
-        self,
-        apk: "APK",
-        graph: "CallGraph",
-        registry: LibraryRegistry,
-        cache: "MethodAnalysisCache",
-    ) -> SummaryEngine:
-        fingerprint = apk_fingerprint(apk)
-        entry = self._engines.get(apk.package)
-        if entry is not None and entry[0] == fingerprint:
-            self.hits += 1
-            # Refresh LRU position.
-            self._engines[apk.package] = self._engines.pop(apk.package)
-            return entry[1]
-        self.misses += 1
-        engine = SummaryEngine(graph, registry, cache)
-        self._engines[apk.package] = (fingerprint, engine)
-        while len(self._engines) > self.max_entries:
-            self._engines.pop(next(iter(self._engines)))
-        return engine

@@ -14,7 +14,6 @@ from typing import Optional, Union
 from .values import (
     ArrayRef,
     ConditionExpr,
-    Expr,
     FieldRef,
     InvokeExpr,
     Local,
@@ -152,13 +151,3 @@ class NopStmt(Stmt):
     def __str__(self) -> str:
         return "nop"
 
-
-def stmt_reads_expr(stmt: Stmt) -> Optional[Expr]:
-    """The composite expression evaluated by ``stmt``, if any."""
-    if isinstance(stmt, AssignStmt) and isinstance(stmt.value, Expr):
-        return stmt.value
-    if isinstance(stmt, InvokeStmt):
-        return stmt.expr
-    if isinstance(stmt, IfStmt):
-        return stmt.condition
-    return None

@@ -8,13 +8,10 @@ exactly those, injects them into the shared ``AnalysisContext``, runs
 the passes, and assembles the :class:`~repro.core.checker.ScanResult`
 exactly as the hand-sequenced orchestrator did.
 
-Sessions are the unit of incrementality: the patcher holds one session
-per app, reports the methods each patch round touched, and
-:meth:`ScanSession.invalidate_methods` narrows the rebuild to the dirty
-region.  :class:`SessionCache` gives ``NChecker`` its repeat-scan
-behaviour (one session per package, keyed by the structural
-fingerprint, LRU-bounded for corpus sweeps) — the successor of the old
-per-APK ``SummaryCache``.
+A session's app never changes under it: the patch loop opens a fresh
+session for every round.  :class:`SessionCache` gives ``NChecker`` its
+repeat-scan behaviour (one session per package, keyed by the structural
+fingerprint, LRU-bounded for corpus sweeps).
 
 Sessions are also where the **persistent cross-run cache**
 (:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_backend`` /
@@ -46,7 +43,6 @@ from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_r
 
 if TYPE_CHECKING:
     from ..app.apk import APK
-    from ..callgraph.entrypoints import MethodKey
     from ..core.checker import NCheckerOptions, ScanResult
     from ..libmodels.annotations import LibraryRegistry
 
@@ -69,11 +65,9 @@ class ScanSession:
         #: Persistent cross-run cache, or ``None`` (no ``cache_backend``
         #: and no ``cache_dir`` in the options).
         self.artifact_cache = CacheStore.from_options(options)
-        #: ``(app_fingerprint, kind)`` pairs already persisted — loaded
-        #: from or written to the backend by this session — so repeat
-        #: scans rewrite nothing and a patch round persists only the
-        #: rebuilt cone.
-        self._cache_synced: set[tuple[str, str]] = set()
+        #: Artifact kinds already persisted — loaded from or written to
+        #: the backend by this session — so repeat scans rewrite nothing.
+        self._cache_synced: set[str] = set()
         self._app_fp: Optional[str] = None
 
     # -- pass construction ---------------------------------------------------
@@ -258,9 +252,7 @@ class ScanSession:
     # -- persistent cache ----------------------------------------------------
 
     def _content_fingerprint(self) -> str:
-        """The app's content address, memoized until an invalidation
-        (the patcher's in-place mutations go through
-        :meth:`invalidate_methods`, which drops the memo)."""
+        """The app's content address, memoized for the session."""
         if self._app_fp is None:
             from .cachestore import app_content_fingerprint
 
@@ -270,47 +262,38 @@ class ScanSession:
     def _preload_from_disk(self) -> None:
         if self.artifact_cache is None:
             return
-        fp = self._content_fingerprint()
-        loaded = self.artifact_cache.load_into(self.store, fp, self.options)
-        self._cache_synced.update((fp, kind) for kind in loaded)
+        self._cache_synced.update(
+            self.artifact_cache.load_into(
+                self.store, self._content_fingerprint(), self.options
+            )
+        )
 
     def _persist_to_disk(self) -> None:
         if self.artifact_cache is None:
             return
-        fp = self._content_fingerprint()
-        synced = {kind for f, kind in self._cache_synced if f == fp}
-        written = self.artifact_cache.store_from(
-            self.store, fp, self.options, exclude=synced
+        self._cache_synced.update(
+            self.artifact_cache.store_from(
+                self.store,
+                self._content_fingerprint(),
+                self.options,
+                exclude=self._cache_synced,
+            )
         )
-        self._cache_synced.update((fp, kind) for kind in written)
-
-    # -- incrementality ------------------------------------------------------
-
-    def invalidate_methods(self, touched: "set[MethodKey]") -> None:
-        """Forward a patch round's touched-method report to the store."""
-        self._app_fp = None  # in-place mutation: re-fingerprint next scan
-        self.store.invalidate_methods(touched)
-
-    @property
-    def fingerprint(self) -> int:
-        return apk_fingerprint(self.apk)
 
 
 @dataclass
 class SessionCache:
     """One scan session per APK package, keyed by structural fingerprint.
 
-    The successor of the per-APK ``SummaryCache``: a repeat ``scan()`` of
-    a structurally unchanged app reuses the whole artifact store (call
-    graph, CFGs, summaries, requests), and any statement inserted or
-    removed (the patcher's edits) changes the fingerprint and misses.
-    ``hits``/``misses`` keep the legacy counter semantics the ablation
-    benchmarks assert.
+    A repeat ``scan()`` of a structurally unchanged app reuses the whole
+    artifact store (call graph, CFGs, summaries, requests), and any
+    statement inserted or removed changes the fingerprint and misses.
+    The fingerprint counts statements only, so an edit that keeps every
+    count is served the old session: code that mutates an app in place
+    opens its own session (``NChecker.open_session``).
     """
 
     max_entries: int = 64
-    hits: int = 0
-    misses: int = 0
     _sessions: dict[str, tuple[int, ScanSession]] = field(default_factory=dict)
 
     def session_for(
@@ -322,11 +305,9 @@ class SessionCache:
         fingerprint = apk_fingerprint(apk)
         entry = self._sessions.get(apk.package)
         if entry is not None and entry[0] == fingerprint:
-            self.hits += 1
             # Refresh LRU position.
             self._sessions[apk.package] = self._sessions.pop(apk.package)
             return entry[1]
-        self.misses += 1
         session = ScanSession(apk, registry, options)
         self._sessions[apk.package] = (fingerprint, session)
         while len(self._sessions) > self.max_entries:

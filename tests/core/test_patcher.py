@@ -1,10 +1,17 @@
-"""Automated-patcher tests: scan → patch → rescan converges to clean, and
-patched apps lose their runtime symptoms too."""
+"""Automated-patcher tests: scan → patch → rescan converges to clean,
+patching is idempotent, and patched apps lose their runtime symptoms too."""
+
+import dataclasses
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.app.loader import dumps_apk, load_apk
 from repro.core import DefectKind, NChecker
 from repro.core.patcher import Patcher
+from repro.corpus.generator import CorpusGenerator
+from repro.corpus.profiles import PAPER_PROFILE
 from repro.corpus.snippets import (
     Backoff,
     Notification,
@@ -15,6 +22,8 @@ from repro.corpus.snippets import (
 from repro.netsim import LinkProfile, OFFLINE, Runtime
 
 from tests.conftest import single_request_app
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "apps"
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +46,9 @@ class TestConvergence:
 
     def test_original_app_untouched(self, checker, patcher):
         apk, _ = single_request_app(RequestSpec())
-        before = checker.scan(apk).summary()
+        before = dumps_apk(apk)
         patcher.patch_until_clean(apk, checker)
-        assert checker.scan(apk).summary() == before
+        assert dumps_apk(apk) == before
 
     def test_clean_app_needs_no_patches(self, checker, patcher):
         from repro.corpus.snippets import Connectivity
@@ -95,6 +104,31 @@ class TestConvergence:
         for patch in outcome.applied:
             assert patch.description
             assert str(patch)
+
+
+class TestIdempotence:
+    """Differential oracle: patching a patched app changes nothing,
+    ``patch(patch(a)) == patch(a)`` byte for byte."""
+
+    @staticmethod
+    def assert_idempotent(apk):
+        once, _ = Patcher().patch_until_clean(apk)
+        twice, _ = Patcher().patch_until_clean(once)
+        assert dumps_apk(twice) == dumps_apk(once), apk.package
+
+    @pytest.mark.parametrize(
+        "path", sorted(EXAMPLES.glob("*.apkt")), ids=lambda p: p.stem
+    )
+    def test_example_apps(self, path):
+        self.assert_idempotent(load_apk(path))
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=PAPER_PROFILE.seed)
+    def test_scaled_paper_corpus(self, seed):
+        profile = dataclasses.replace(PAPER_PROFILE.scaled(12), seed=seed)
+        for apk, _ in CorpusGenerator(profile).iter_apps():
+            self.assert_idempotent(apk)
 
 
 class TestRuntimeEffect:

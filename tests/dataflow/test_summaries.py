@@ -12,6 +12,7 @@ from repro.dataflow.summaries import (
 )
 from repro.ir import Local
 from repro.libmodels import default_registry
+from repro.obs import use_metrics
 
 CLIENT = "com.turbomanage.httpclient.BasicHttpClient"
 
@@ -246,24 +247,26 @@ class TestEngineCache:
     def test_repeat_scan_reuses_engine(self):
         apk = _deep_chain_app()
         checker = NChecker()
-        checker.scan(apk)
-        assert checker.sessions.misses == 1
-        checker.scan(apk)
-        assert checker.sessions.hits == 1
-        assert checker.sessions.misses == 1
+        with use_metrics() as registry:
+            checker.scan(apk)
+            checker.scan(apk)
+        assert registry.counter_value("artifact.callgraph.builds") == 1
+        assert registry.counter_value("artifact.summaries.builds") == 1
 
     def test_structural_change_invalidates(self):
         apk = _deep_chain_app()
         checker = NChecker()
-        checker.scan(apk)
-        # Simulate the patcher: insert a statement somewhere.
-        from repro.ir.statements import NopStmt
-        from repro.ir.transform import insert_statements
+        with use_metrics() as registry:
+            checker.scan(apk)
+            # Simulate the patcher: insert a statement somewhere.
+            from repro.ir.statements import NopStmt
+            from repro.ir.transform import insert_statements
 
-        method = next(iter(next(iter(apk.classes())).methods()))
-        insert_statements(method, 0, [NopStmt()])
-        checker.scan(apk)
-        assert checker.sessions.misses == 2
+            method = next(iter(next(iter(apk.classes())).methods()))
+            insert_statements(method, 0, [NopStmt()])
+            checker.scan(apk)
+        assert registry.counter_value("artifact.callgraph.builds") == 2
+        assert registry.counter_value("artifact.summaries.builds") == 2
 
     def test_fingerprint_stable_for_unchanged_app(self):
         apk = _deep_chain_app()

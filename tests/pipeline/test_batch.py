@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import NCheckerOptions
-from repro.obs import metrics, tracer
+from repro.obs import metrics, tracer, use_metrics
 from repro.pipeline.batch import (
     BatchScanner,
     ScanTask,
@@ -79,10 +79,11 @@ class TestScanUnit:
 
         checker = NChecker()
         task = ScanTask(str(corpus_dir[0]), want_json=True)
-        first = scan_one(task, checker)
-        second = scan_one(task, checker)
+        with use_metrics() as registry:
+            first = scan_one(task, checker)
+            second = scan_one(task, checker)
         assert first == second
-        assert checker.sessions.hits == 1
+        assert registry.counter_value("artifact.callgraph.builds") == 1
 
     def test_capture_installs_nothing_when_nothing_is_asked(self):
         outer_tracer, outer_registry = tracer(), metrics()
