@@ -11,8 +11,8 @@ Subcommands:
 * ``bench record|compare|gate`` — record performance runs into the
   append-only run ledger and gate regressions against a baseline
   (``docs/BENCHMARKS.md``);
-* ``serve`` — run the scan-as-a-service HTTP daemon, including the
-  ``remote:URL`` cache tier's server side (``docs/SERVICE.md``).
+* ``serve`` — run the scan-as-a-service HTTP daemon
+  (``docs/SERVICE.md``).
 
 Every subcommand and flag is documented in ``docs/CLI.md``
 (``tests/test_docs.py`` asserts the doc covers this parser, so it
@@ -54,28 +54,6 @@ def _resolve_cache_dir(args: argparse.Namespace) -> str | None:
     return os.path.join(base, "nchecker")
 
 
-def _resolve_cache_backend(args: argparse.Namespace) -> str | None:
-    """The ``--cache-backend`` spec a command should use (``None`` falls
-    back to a plain local backend over the resolved cache dir);
-    ``--no-disk-cache`` disables every tier, spec or not.
-
-    A bad spec dies here, before any scanning starts, rather than as a
-    traceback out of session construction (or, worse, out of a ``--jobs``
-    worker)."""
-    if getattr(args, "no_disk_cache", False):
-        return None
-    spec = getattr(args, "cache_backend", None)
-    if spec is not None:
-        from .pipeline.cachestore import backend_from_spec
-
-        try:
-            backend_from_spec(spec, local_root=_resolve_cache_dir(args))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-    return spec
-
-
 def _enabled_checks(args: argparse.Namespace) -> frozenset[str]:
     if getattr(args, "extended_checks", False):
         return DEFAULT_CHECKS | EXTENDED_CHECKS
@@ -88,7 +66,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         interprocedural_connectivity=not args.intraprocedural,
         summary_based=not args.no_summaries,
         cache_dir=_resolve_cache_dir(args),
-        cache_backend=_resolve_cache_backend(args),
         enabled_checks=_enabled_checks(args),
     )
     from .pipeline.batch import BatchScanner
@@ -282,7 +259,6 @@ def _cmd_patch(args: argparse.Namespace) -> int:
     checker = NChecker(
         options=NCheckerOptions(
             cache_dir=_resolve_cache_dir(args),
-            cache_backend=_resolve_cache_backend(args),
         )
     )
     patcher = Patcher()
@@ -389,14 +365,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .pipeline.cachestore import backend_from_spec, format_size, parse_size
+    from .pipeline.cachestore import LocalDirBackend, format_size, parse_size
 
-    spec = getattr(args, "cache_backend", None) or "local"
-    try:
-        backend = backend_from_spec(spec, local_root=_resolve_cache_dir(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    backend = LocalDirBackend(_resolve_cache_dir(args))
     if args.action == "stats":
         print(backend.stats().render())
         return 0
@@ -437,7 +408,7 @@ def _bench_measure(apps, jobs: int, options, label):
     """One instrumented benchmark scan -> a ledger record.
 
     The persistent cache is left disabled (the options carry no cache
-    dir/backend) so every counter is a pure function of (apps, options)
+    dir) so every counter is a pure function of (apps, options)
     — the determinism `bench compare`'s exact-match rule relies on.
     """
     import time
@@ -598,7 +569,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
         cache_dir=_resolve_cache_dir(args),
-        cache_backend=_resolve_cache_backend(args),
         extended_checks=args.extended_checks,
         max_body_bytes=max_body,
     )
@@ -639,16 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", metavar="DIR",
         help="persistent artifact cache location (default: "
         "$NCHECKER_CACHE_DIR, else ~/.cache/nchecker)",
-    )
-    caching.add_argument(
-        "--cache-backend", metavar="SPEC",
-        help="cache backend composition: 'local', 'memory', "
-        "'remote:URL' (a `nchecker serve` daemon's shared cache), or a "
-        "fastest-first '+' chain like 'memory+local' or "
-        "'memory+remote:http://host:8321' (tiers read through with "
-        "promotion and write through); 'local' may carry a directory "
-        "as 'local:DIR', otherwise it uses the resolved --cache-dir. "
-        "See docs/CACHING.md",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -991,8 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-disk-cache", action="store_true",
-        help="serve without any persistent cache: no /v1/cache blueprint "
-        "and no local tier under the workers (warm sessions only)",
+        help="serve without the persistent artifact cache (workers keep "
+        "only their warm sessions)",
     )
     serve.add_argument(
         "--extended-checks", action="store_true",

@@ -5,8 +5,8 @@ extract network requests with their contexts, identify customized retry
 loops, and run the four analyses of §4.4 — as a **pass pipeline** over a
 per-APK artifact store (see :mod:`repro.pipeline`): each enabled check
 declares the artifacts it reads, the scheduler orders the passes and
-builds only the artifacts some enabled pass needs, and repeat scans of a
-structurally unchanged app reuse the whole store.  The result object
+builds only the artifacts some enabled pass needs, and repeat scans of
+an unchanged app reuse the whole store.  The result object
 carries the findings plus the per-request facts the evaluation harness
 aggregates into the paper's tables and CDFs.
 """
@@ -91,23 +91,13 @@ class NCheckerOptions:
     #: paper's two FP classes.
     inter_component: bool = False
     #: Root directory of the persistent cross-run artifact cache
-    #: (:mod:`repro.pipeline.cachestore`) — the one-directory shorthand
-    #: for a plain local backend.  ``None`` — the library default —
+    #: (:mod:`repro.pipeline.cachestore`).  ``None`` — the library default —
     #: keeps every artifact in-memory only; the CLI resolves this to
     #: ``$NCHECKER_CACHE_DIR`` or ``~/.cache/nchecker`` unless
     #: ``--no-disk-cache`` is given.  Cached artifacts are keyed by app
     #: content, so the flag can never change scan output — only where the
     #: artifacts come from.
     cache_dir: Optional[str] = None
-    #: Which cache backend composition to use: a spec string
-    #: (``"local"``, ``"memory"``, ``"memory+local"``,
-    #: ``"local:/some/dir"`` — grammar in
-    #: :mod:`repro.pipeline.cachestore.store`) or a live
-    #: :class:`~repro.pipeline.cachestore.backend.CacheBackend` instance
-    #: for library embedding.  Wins over ``cache_dir`` when set; a
-    #: pathless ``local`` tier takes its directory from ``cache_dir``.
-    #: Like ``cache_dir``, this can never change scan output.
-    cache_backend: Optional[object] = None
     enabled_checks: frozenset[str] = DEFAULT_CHECKS
 
 
@@ -194,9 +184,9 @@ class NChecker:
 
     A thin façade over :class:`repro.pipeline.scan.ScanSession`: each
     scanned app gets a session owning its artifact store, cached per
-    package (keyed by structural fingerprint) so repeat scans of the same
-    app — corpus rescans, scan-after-patch comparisons — reuse every
-    derived artifact instead of just the summary engine.
+    package and reused while the app's content is unchanged, so repeat
+    scans of the same app — corpus rescans, daemon resubmissions — reuse
+    every derived artifact instead of just the summary engine.
     """
 
     def __init__(
@@ -209,7 +199,7 @@ class NChecker:
         self.registry = registry or default_registry()
         self.options = options
         #: Per-APK scan sessions (artifact stores), reused across repeat
-        #: scans of the same (structurally unchanged) app.
+        #: scans of the same (content-unchanged) app.
         self.sessions = SessionCache()
 
     def scan(self, apk: APK) -> ScanResult:

@@ -167,8 +167,8 @@ class Patcher:
 
         The input is cloned once; each round scans the working copy with
         a fresh session and patches it in place.  The session is fresh
-        rather than ``checker.scan``'s cached one because the session
-        cache keys on statement counts, which an in-place edit may keep.
+        rather than ``checker.scan``'s cached one: every round scans
+        different content, so a cached session could never be reused.
         """
         checker = checker or NChecker()
         applied: list[AppliedPatch] = []

@@ -61,7 +61,6 @@ from .constants import ConstantPropagation
 from .taint import ForwardTaint
 
 if TYPE_CHECKING:
-    from ..app.apk import APK
     from ..callgraph.cha import CallGraph
     from ..callgraph.entrypoints import MethodKey
     from ..callgraph.resolve import MethodAnalysisCache
@@ -625,21 +624,3 @@ class SummaryEngine:
             }
             self._direct_maps[key] = direct
         return direct.get(idx)
-
-
-# ---------------------------------------------------------------------------
-# Structural fingerprint
-# ---------------------------------------------------------------------------
-
-
-def apk_fingerprint(apk: "APK") -> int:
-    """A cheap structural fingerprint: any statement inserted or removed
-    changes it, so the session cache misses and rebuilds."""
-    return hash(
-        tuple(
-            sorted(
-                (m.class_name, m.name, m.sig.arity, len(m.statements))
-                for m in apk.methods()
-            )
-        )
-    )

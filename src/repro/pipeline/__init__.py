@@ -10,10 +10,9 @@ sessions, batch scanning, the persistent cache.
 * :mod:`repro.pipeline.batch` — the scan unit the CLI and the daemon
   share, and its process fan-out (``nchecker scan --jobs N``) with
   deterministic, input-order-stable output;
-* :mod:`repro.pipeline.cachestore` — the persistent cross-run cache as
-  a layered subsystem: content addressing, codec, and the pluggable
-  ``CacheBackend`` protocol (local / memory / tiered) behind
-  ``--cache-backend``.
+* :mod:`repro.pipeline.cachestore` — the persistent cross-run cache:
+  content addressing, codec, and one local-directory blob store behind
+  ``--cache-dir``.
 """
 
 from .artifacts import (
@@ -29,23 +28,14 @@ from .artifacts import (
     ArtifactKey,
     ArtifactStore,
 )
-from .cachestore import (
-    CacheBackend,
-    CacheStore,
-    LocalDirBackend,
-    MemoryBackend,
-    TieredBackend,
-)
+from .cachestore import CacheStore, LocalDirBackend
 from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_reads
 from .scan import ScanSession, SessionCache
 
 __all__ = [
     "ARTIFACTS",
-    "CacheBackend",
     "CacheStore",
     "LocalDirBackend",
-    "MemoryBackend",
-    "TieredBackend",
     "ArtifactCounters",
     "ArtifactKey",
     "ArtifactStore",

@@ -179,8 +179,10 @@ def _render(task: ScanTask, checker: "Optional[NChecker]") -> ScanPayload:
     if checker is None:
         from ..core.checker import NChecker
 
-        checker = NChecker(options=task.options)
-    result = checker.scan(apk)
+        # A one-shot checker never sees the app again: no session cache.
+        result = NChecker(options=task.options).open_session(apk).scan()
+    else:
+        result = checker.scan(apk)
     payload = ScanPayload(
         source,
         ok=True,

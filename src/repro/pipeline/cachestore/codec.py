@@ -12,10 +12,9 @@ dataclasses and containers, pickled by value.
 
 Every encoded blob carries a ``NCKC``-magic header with the cache
 format version and a blake2b checksum of the payload.  Decoding is
-where **corruption-is-a-miss** is enforced for every backend: a
-truncated, bit-flipped, or version-mismatched blob raises
-:class:`CacheMiss` — always handled as a rebuild, never a crash —
-regardless of which tier served the bytes.
+where **corruption-is-a-miss** is enforced: a truncated, bit-flipped,
+or version-mismatched blob raises :class:`CacheMiss` — always handled
+as a rebuild, never a crash.
 """
 
 from __future__ import annotations
@@ -135,8 +134,8 @@ def encode_artifact(
 
 
 def decode_artifact(data: bytes, store: ArtifactStore, methods: dict):
-    """A blob → the live artifact, or :class:`CacheMiss` for anything a
-    backend could have mangled (truncation, corruption, version skew)."""
+    """A blob → the live artifact, or :class:`CacheMiss` for anything
+    storage could have mangled (truncation, corruption, version skew)."""
     if len(data) < HEADER.size:
         raise CacheMiss("truncated header")
     magic, version, digest = HEADER.unpack_from(data)

@@ -3,8 +3,10 @@
 Every cache entry is addressed by a fingerprint folding together
 
 * the **app content**: a hash per method of its printed IR (the same
-  text ``dumps_apk`` round-trips) plus the manifest's components and
-  permissions — any statement, method, or component change misses;
+  text ``dumps_apk`` round-trips), each class's header (superclass,
+  interfaces) and fields, plus the manifest's components and
+  permissions — any statement, method, hierarchy, or component change
+  misses;
 * the **library-model version** (:data:`repro.libmodels.
   LIBMODELS_VERSION`) and the registered library keys — re-annotating a
   library invalidates everything derived under the old annotations;
@@ -18,9 +20,9 @@ Every cache entry is addressed by a fingerprint folding together
   option-sensitive builder added later declares its fields here and
   splits its entries.
 
-These functions are pure over their inputs: no backend ever influences
-an address, which is what lets every backend (local directory,
-in-memory, tiered, a future remote) serve the very same entries.
+These functions are pure over their inputs: where the cache lives never
+influences an address, so a cache directory can be copied or moved
+between hosts and still serve the very same entries.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from ...callgraph.entrypoints import method_key
 from ...ir.method import IRMethod
-from ...ir.printer import print_method
+from ...ir.printer import class_lines, print_method
 from ...libmodels import LIBMODELS_VERSION
 
 if TYPE_CHECKING:
@@ -68,14 +70,23 @@ def method_content_hash(method: IRMethod) -> bytes:
 
 
 def app_content_fingerprint(apk: "APK") -> str:
-    """Content address of one app: package, manifest surface, and every
-    method's IR hash, order-independent over class file layout."""
+    """Content address of one app: package, manifest surface, every
+    class's header and fields, and every method's IR hash,
+    order-independent over class file layout."""
     h = hashlib.blake2b(digest_size=20)
     h.update(apk.package.encode())
     for permission in apk.manifest.permissions:
         h.update(b"\0perm\0" + permission.encode())
     for kind, name in apk.manifest.components():
         h.update(b"\0comp\0" + kind.value.encode() + b"\0" + name.encode())
+    for cls in sorted(apk.classes(), key=lambda c: c.name):
+        # The header decides call-graph dispatch and library callbacks.
+        h.update(b"\0class\0" + next(class_lines(cls)).encode())
+        for field_sig in sorted(cls.fields.values(), key=lambda f: f.name):
+            h.update(
+                b"\0field\0"
+                + f"{field_sig.type_name} {field_sig.name}".encode()
+            )
     entries = sorted(
         (repr(method_key(m)).encode(), method_content_hash(m))
         for m in apk.methods()
@@ -104,19 +115,18 @@ def scan_options_fingerprint(options: "NCheckerOptions") -> str:
 
     The run ledger (:mod:`repro.obs.events`) stamps this on every record
     so ``nchecker bench compare`` never silently diffs runs produced
-    under different flags.  Storage-only fields (``cache_dir``,
-    ``cache_backend``) are excluded: they can never change scan output,
-    and a live backend instance has no stable repr anyway.
-    (``eager_summaries`` *is* folded in: it changes work-volume
-    counters.)  Unordered collections are sorted before hashing so the
-    digest is stable across interpreter hash seeds.
+    under different flags.  The storage-only ``cache_dir`` is excluded:
+    it can never change scan output.  (``eager_summaries`` *is* folded
+    in: it changes work-volume counters.)  Unordered collections are
+    sorted before hashing so the digest is stable across interpreter
+    hash seeds.
     """
     import dataclasses
 
     h = hashlib.blake2b(digest_size=12)
     h.update(f"fmt{CACHE_FORMAT_VERSION};lib{LIBMODELS_VERSION}".encode())
     for field in dataclasses.fields(options):
-        if field.name in ("cache_dir", "cache_backend"):
+        if field.name == "cache_dir":
             continue
         value = getattr(options, field.name)
         if isinstance(value, (set, frozenset)):
@@ -129,8 +139,7 @@ def entry_digest(
     kind: str, app_fp: str, registry, options: "NCheckerOptions"
 ) -> str:
     """The per-entry digest of one (app, artifact-kind, options) triple —
-    the backend-independent half of the entry address (the app
-    fingerprint plus this digest name an entry on every backend)."""
+    with the app fingerprint, it names one cache entry."""
     h = hashlib.blake2b(digest_size=16)
     h.update(app_fp.encode())
     h.update(b"\0" + registry_fingerprint(registry).encode())

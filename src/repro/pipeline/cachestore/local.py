@@ -1,4 +1,4 @@
-"""The local-directory backend — today's on-disk cache, behind the seam.
+"""The local-directory blob store: the cache's one tier.
 
 Layout (format-compatible with every cache the pre-split disk cache
 wrote):
@@ -23,14 +23,7 @@ from typing import Optional
 
 from ...obs import get_logger
 from . import fingerprints
-from .backend import (
-    GC_GRACE_SECONDS,
-    CacheStats,
-    EntryInfo,
-    EntryKey,
-    GetResult,
-    stats_from_entries,
-)
+from .backend import GC_GRACE_SECONDS, CacheStats, EntryInfo, EntryKey
 
 log = get_logger("cachestore.local")
 
@@ -38,9 +31,8 @@ log = get_logger("cachestore.local")
 class LocalDirBackend:
     """Content-addressed blob store over one local directory."""
 
-    def __init__(self, root: str | Path, name: str = "local") -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root).expanduser()
-        self.name = name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LocalDirBackend({str(self.root)!r})"
@@ -62,25 +54,26 @@ class LocalDirBackend:
 
     # -- blob store ----------------------------------------------------------
 
-    def get(self, key: EntryKey) -> Optional[GetResult]:
+    def get(self, key: EntryKey) -> Optional[bytes]:
+        """The stored blob, or ``None`` when absent or unreadable."""
         path = self.entry_path(key)
         try:
-            blob = path.read_bytes()
+            return path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
             log.debug("cache read failed for %s: %s", path, exc)
             return None
-        return GetResult(blob, self.name)
 
-    def put(self, key: EntryKey, blob: bytes) -> tuple[str, ...]:
+    def put(self, key: EntryKey, blob: bytes) -> bool:
+        """Store ``blob`` atomically; ``False`` when the write failed."""
         path = self.entry_path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         except OSError as exc:
             log.warning("cannot write cache entry %s: %s", path, exc)
-            return ()
+            return False
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
@@ -91,21 +84,22 @@ class LocalDirBackend:
                 os.unlink(tmp)
             except OSError:
                 pass
-            return ()
+            return False
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
-        return (self.name,)
+        return True
 
-    def delete(self, key: EntryKey) -> int:
+    def delete(self, key: EntryKey) -> bool:
+        """Drop ``key``'s entry; ``False`` when there was none."""
         try:
             self.entry_path(key).unlink()
         except OSError:
-            return 0
-        return 1
+            return False
+        return True
 
     # -- enumeration / management --------------------------------------------
 
@@ -128,18 +122,31 @@ class LocalDirBackend:
                 continue
             entries.append(EntryInfo(
                 EntryKey(path.parent.name, kind, digest),
-                st.st_size, st.st_mtime, self.name,
+                st.st_size, st.st_mtime,
             ))
         return entries
 
     def stats(self) -> CacheStats:
-        return stats_from_entries(
-            f"{self.name} {self.root}", self.list_entries()
+        """Entry counts and bytes, in total and per artifact kind."""
+        by_kind: dict[str, tuple[int, int]] = {}
+        apps: set[str] = set()
+        total = 0
+        entries = self.list_entries()
+        for info in entries:
+            count, kind_bytes = by_kind.get(info.key.kind, (0, 0))
+            by_kind[info.key.kind] = (count + 1, kind_bytes + info.size)
+            apps.add(info.key.app_fp)
+            total += info.size
+        return CacheStats(
+            f"local {self.root}", len(apps), len(entries), total, by_kind
         )
 
     def gc(
         self, max_bytes: int, grace_seconds: float = GC_GRACE_SECONDS
     ) -> tuple[int, int]:
+        """Evict least-recently-written entries until the cache fits
+        ``max_bytes``, never touching entries younger than
+        ``grace_seconds``; returns ``(entries removed, bytes freed)``."""
         files = []
         for p in self._entry_files():
             try:
@@ -169,6 +176,7 @@ class LocalDirBackend:
         return removed, freed
 
     def clear(self) -> int:
+        """Delete every entry; returns the number removed."""
         removed = 0
         for path in self._entry_files():
             try:

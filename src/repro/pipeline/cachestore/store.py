@@ -1,39 +1,18 @@
-"""The session-facing cache: artifacts in, artifacts out, any backend.
+"""The session-facing cache: artifacts in, artifacts out.
 
 :class:`CacheStore` is what a :class:`~repro.pipeline.scan.ScanSession`
 holds: it owns the addressing (:mod:`.fingerprints`), the serialization
-(:mod:`.codec`), and the telemetry, and delegates storage to one
-:class:`~repro.pipeline.cachestore.backend.CacheBackend`.  Nothing here
-knows whether the bytes live in a directory, a dict, or a tier chain —
-that is the whole point of the seam.
+(:mod:`.codec`), and the telemetry, and keeps the bytes in one
+:class:`~repro.pipeline.cachestore.local.LocalDirBackend` directory.
 
-Telemetry is namespaced per tier: ``cache.<tier>.<kind>.hits`` /
-``.misses`` / ``.promotions`` counters and
-``cache.<tier>.<kind>.load_ms`` / ``.store_ms`` timers land in the
+Telemetry: ``cache.local.<kind>.hits`` / ``.misses`` counters and
+``cache.local.<kind>.load_ms`` / ``.store_ms`` timers land in the
 store's registry (and the active global one), riding the same
 snapshot/merge protocol as every other counter — ``--metrics`` of a
-``--jobs N`` run sums them across workers.  A hit is attributed to the
-tier that served it; a write-back counts one miss per tier written (the
-cache could not supply the artifact, so the scan built it — that
-semantic is per tier, which is what makes ``hits/(hits+misses)`` a true
-per-tier hit rate).
-
-Backend specs
--------------
-``NCheckerOptions.cache_backend`` / ``--cache-backend SPEC`` select the
-composition with a tiny grammar::
-
-    SPEC := TIER ('+' TIER)*        # fastest tier first
-    TIER := 'memory' | 'local' [':' DIR] | 'remote' ':' URL
-
-``local`` without a directory uses the resolved cache root
-(``options.cache_dir``); ``remote`` needs an ``http://`` or
-``https://`` URL naming a ``nchecker serve`` daemon (its ``/v1/cache``
-blueprint — ``docs/SERVICE.md``).  Two or more tiers compose into a
-:class:`~repro.pipeline.cachestore.tiered.TieredBackend` with
-read-through promotion and write-through.  Examples: ``local``,
-``memory``, ``memory+local``, ``memory+local:/tmp/cache``,
-``memory+remote:http://cache.internal:8321``.
+``--jobs N`` run sums them across workers.  A write counts one miss
+(the cache could not supply the artifact, so the scan built it), which
+makes ``hits/(hits+misses)`` the hit rate; an unusable entry also counts
+``cache.local.errors``.
 """
 
 from __future__ import annotations
@@ -46,13 +25,10 @@ from ...callgraph.entrypoints import method_key
 from ...obs import get_logger
 from ..artifacts import ArtifactStore
 from ..passes import _APP_ARTIFACT_ORDER
-from .backend import CacheBackend, EntryKey
+from .backend import EntryKey
 from .codec import CacheMiss, decode_artifact, encode_artifact
 from .fingerprints import entry_digest
 from .local import LocalDirBackend
-from .memory import shared_memory_backend
-from .remote import RemoteBackend
-from .tiered import TieredBackend
 
 if TYPE_CHECKING:
     from ...core.checker import NCheckerOptions
@@ -60,66 +36,19 @@ if TYPE_CHECKING:
 log = get_logger("cachestore")
 
 
-def backend_from_spec(
-    spec: str, local_root: Optional[str] = None
-) -> CacheBackend:
-    """Parse a ``--cache-backend`` spec (grammar in the module docstring)
-    into a live backend; raises :class:`ValueError` on a bad spec."""
-    tiers: list[CacheBackend] = []
-    for part in spec.split("+"):
-        name, _, arg = part.strip().partition(":")
-        if name == "memory":
-            if arg:
-                raise ValueError(
-                    f"bad cache backend tier {part!r}: memory takes no argument"
-                )
-            tiers.append(shared_memory_backend())
-        elif name == "local":
-            root = arg or local_root
-            if not root:
-                raise ValueError(
-                    "local cache tier needs a directory: use local:DIR "
-                    "or set a cache root (--cache-dir / cache_dir)"
-                )
-            tiers.append(LocalDirBackend(root))
-        elif name == "remote":
-            if not arg.startswith(("http://", "https://")):
-                raise ValueError(
-                    f"remote cache tier needs a server URL: use "
-                    f"remote:http://HOST:PORT (got {part.strip()!r})"
-                )
-            tiers.append(RemoteBackend(arg))
-        else:
-            raise ValueError(
-                f"unknown cache backend tier {name!r} "
-                f"(expected 'memory', 'local[:DIR]', or 'remote:URL')"
-            )
-    if len(tiers) == 1:
-        return tiers[0]
-    return TieredBackend(tiers)
-
-
 class CacheStore:
-    """Persistent artifact cache over one pluggable backend."""
+    """Persistent artifact cache over one local directory."""
 
-    def __init__(self, backend: CacheBackend) -> None:
+    def __init__(self, backend: LocalDirBackend) -> None:
         self.backend = backend
 
     @classmethod
     def from_options(cls, options: "NCheckerOptions") -> Optional["CacheStore"]:
-        """The cache the options ask for, or ``None`` when disabled.
-
-        ``cache_backend`` may be a spec string (see module docstring) or
-        a live :class:`CacheBackend` (library embedding); it wins over
-        ``cache_dir``, which remains the one-directory shorthand for a
-        plain local backend."""
-        backend = getattr(options, "cache_backend", None)
-        cache_dir = getattr(options, "cache_dir", None)
-        if backend is None:
-            return cls(LocalDirBackend(cache_dir)) if cache_dir else None
-        if isinstance(backend, str):
-            backend = backend_from_spec(backend, local_root=cache_dir)
-        return cls(backend)
+        """The cache under ``options.cache_dir``, or ``None`` when the
+        options name no cache directory."""
+        if not options.cache_dir:
+            return None
+        return cls(LocalDirBackend(options.cache_dir))
 
     def entry_key(
         self, app_fp: str, kind: str, registry, options: "NCheckerOptions"
@@ -138,8 +67,8 @@ class CacheStore:
 
         Kinds already present in the store are left alone.  Invalid
         entries (truncated, corrupt, wrong version, dangling references)
-        are deleted from every tier and treated as misses — the caller
-        rebuilds on demand and :meth:`store_from` overwrites them.
+        are deleted and treated as misses — the caller rebuilds on demand
+        and :meth:`store_from` overwrites them.
         """
         loaded: set[str] = set()
         methods: Optional[dict] = None
@@ -147,31 +76,27 @@ class CacheStore:
             if store.peek(key) is not None:
                 continue
             entry = self.entry_key(app_fp, key.name, store.registry, options)
-            result = self.backend.get(entry)
-            if result is None:
+            blob = self.backend.get(entry)
+            if blob is None:
                 continue
             if methods is None:
                 methods = {method_key(m): m for m in store.apk.methods()}
             start = time.perf_counter()
             try:
-                value = decode_artifact(result.blob, store, methods)
+                value = decode_artifact(blob, store, methods)
             except CacheMiss as exc:
                 log.info(
                     "cache entry %s/%s unusable (%s): rebuilding",
                     app_fp[:12], key.name, exc,
                 )
-                store._count(f"cache.{result.tier}.{key.name}.misses")
-                store._count(f"cache.{result.tier}.errors")
-                # Drop every copy: a corrupt blob may already have been
-                # promoted into faster tiers before the codec saw it.
+                store._count(f"cache.local.{key.name}.misses")
+                store._count("cache.local.errors")
                 self.backend.delete(entry)
                 continue
             store.adopt(key, value)
-            store._count(f"cache.{result.tier}.{key.name}.hits")
-            for tier in result.promoted:
-                store._count(f"cache.{tier}.{key.name}.promotions")
+            store._count(f"cache.local.{key.name}.hits")
             store._observe(
-                f"cache.{result.tier}.{key.name}.load_ms",
+                f"cache.local.{key.name}.load_ms",
                 (time.perf_counter() - start) * 1000.0,
             )
             if key.name == "callgraph":
@@ -196,8 +121,8 @@ class CacheStore:
         present and not in ``exclude`` — the kinds already synced with
         this fingerprint); returns the kinds written.
 
-        Every tier written counts one ``cache.<tier>.<kind>.misses`` —
-        the tier could not supply the artifact, so the scan built it.
+        Every entry written counts one ``cache.local.<kind>.misses`` —
+        the cache could not supply the artifact, so the scan built it.
         """
         present = {
             key.name: store.peek(key)
@@ -219,13 +144,11 @@ class CacheStore:
             except pickle.PicklingError as exc:
                 log.warning("cannot encode cache entry %s: %s", key.name, exc)
                 continue
-            tiers = self.backend.put(entry, blob)
-            if not tiers:
-                continue  # every tier failed; retried next run
-            for tier in tiers:
-                store._count(f"cache.{tier}.{key.name}.misses")
+            if not self.backend.put(entry, blob):
+                continue  # the write failed; retried next run
+            store._count(f"cache.local.{key.name}.misses")
             store._observe(
-                f"cache.{self.backend.name}.{key.name}.store_ms",
+                f"cache.local.{key.name}.store_ms",
                 (time.perf_counter() - start) * 1000.0,
             )
             written.add(key.name)

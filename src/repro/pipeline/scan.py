@@ -10,18 +10,17 @@ exactly as the hand-sequenced orchestrator did.
 
 A session's app never changes under it: the patch loop opens a fresh
 session for every round.  :class:`SessionCache` gives ``NChecker`` its
-repeat-scan behaviour (one session per package, keyed by the structural
-fingerprint, LRU-bounded for corpus sweeps).
+repeat-scan behaviour (one session per package, reused only while the
+app's content fingerprint matches, LRU-bounded for corpus sweeps).
 
 Sessions are also where the **persistent cross-run cache**
-(:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_backend`` /
-``cache_dir``) plugs in: before the first pass runs, every valid cached
-artifact for the app's content fingerprint is adopted into the store
-(zero builds on a warm run), and after each scan the artifacts the run
-had to build are written back through whatever backend the options
-selected (local directory, in-memory, or a tier chain).  Output is
-byte-identical with the cache hot, cold, or disabled, on every
-backend — the cache only changes where artifacts come from.
+(:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_dir``) plugs
+in: before the first pass runs, every valid cached artifact for the
+app's content fingerprint is adopted into the store (zero builds on a
+warm run), and after each scan the artifacts the run had to build are
+written back to the cache directory.  Output is byte-identical with the
+cache hot, cold, or disabled — the cache only changes where artifacts
+come from.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..dataflow.summaries import apk_fingerprint
 from ..obs import metrics, span
 from .artifacts import (
     ICC_MODEL,
@@ -62,11 +60,11 @@ class ScanSession:
         self.store = ArtifactStore(apk, registry)
         from .cachestore import CacheStore
 
-        #: Persistent cross-run cache, or ``None`` (no ``cache_backend``
-        #: and no ``cache_dir`` in the options).
+        #: Persistent cross-run cache, or ``None`` (no ``cache_dir`` in
+        #: the options).
         self.artifact_cache = CacheStore.from_options(options)
         #: Artifact kinds already persisted — loaded from or written to
-        #: the backend by this session — so repeat scans rewrite nothing.
+        #: the cache by this session — so repeat scans rewrite nothing.
         self._cache_synced: set[str] = set()
         self._app_fp: Optional[str] = None
 
@@ -283,18 +281,22 @@ class ScanSession:
 
 @dataclass
 class SessionCache:
-    """One scan session per APK package, keyed by structural fingerprint.
+    """One scan session per APK package, reused only for the same content.
 
-    A repeat ``scan()`` of a structurally unchanged app reuses the whole
-    artifact store (call graph, CFGs, summaries, requests), and any
-    statement inserted or removed changes the fingerprint and misses.
-    The fingerprint counts statements only, so an edit that keeps every
-    count is served the old session: code that mutates an app in place
-    opens its own session (``NChecker.open_session``).
+    A repeat ``scan()`` of an unchanged app reuses the whole artifact
+    store (call graph, CFGs, summaries, requests).  The cached session is
+    served only when the app's content fingerprint
+    (:func:`~repro.pipeline.cachestore.app_content_fingerprint`) matches
+    the one taken when the session was opened, so any edit to a method
+    body, a class header, the manifest or the package misses — a long-lived checker (a
+    daemon worker) never answers for content other than what it was
+    given, and an app mutated in place between scans is rescanned.  The
+    fingerprint is memoised on the session, where the persistent cache
+    reuses it as its content address.
     """
 
     max_entries: int = 64
-    _sessions: dict[str, tuple[int, ScanSession]] = field(default_factory=dict)
+    _sessions: dict[str, ScanSession] = field(default_factory=dict)
 
     def session_for(
         self,
@@ -302,14 +304,15 @@ class SessionCache:
         registry: "LibraryRegistry",
         options: "NCheckerOptions",
     ) -> ScanSession:
-        fingerprint = apk_fingerprint(apk)
-        entry = self._sessions.get(apk.package)
-        if entry is not None and entry[0] == fingerprint:
-            # Refresh LRU position.
-            self._sessions[apk.package] = self._sessions.pop(apk.package)
-            return entry[1]
-        session = ScanSession(apk, registry, options)
-        self._sessions[apk.package] = (fingerprint, session)
+        from .cachestore import app_content_fingerprint
+
+        fingerprint = app_content_fingerprint(apk)
+        session = self._sessions.pop(apk.package, None)
+        if session is None or session._app_fp != fingerprint:
+            session = ScanSession(apk, registry, options)
+            session._app_fp = fingerprint
+        # Re-inserting moves the package to the young end of the LRU.
+        self._sessions[apk.package] = session
         while len(self._sessions) > self.max_entries:
             self._sessions.pop(next(iter(self._sessions)))
         return session

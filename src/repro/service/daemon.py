@@ -1,4 +1,4 @@
-"""The ``nchecker serve`` daemon: routing, admission, workers, cache.
+"""The ``nchecker serve`` daemon: routing, admission, workers.
 
 :class:`ScanService` ties the service package together behind one
 ``async handle(Request) -> Response``:
@@ -8,10 +8,6 @@
   persistent worker-process pool; ``GET /v1/scans/{id}`` polls status
   and results, with ``/findings`` (the exact ``scan --json`` document),
   ``/sarif``, and ``/trace`` views.
-* **Cache blueprint** — ``/v1/cache/...`` serves the daemon's local
-  cache directory over the blob API
-  :class:`~repro.pipeline.cachestore.remote.RemoteBackend` speaks, so
-  any host pointed at ``remote:http://this-daemon`` shares it.
 * **Introspection** — ``/healthz`` (liveness + job counts) and
   ``/metrics`` (the daemon's own registry merged with every finished
   scan's snapshot — the PR 3 snapshot/merge protocol across the pool).
@@ -24,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -33,7 +28,7 @@ from typing import Callable, Optional
 from ..core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from ..obs import chrome_trace, empty_snapshot, get_logger, merge_snapshots
 from ..pipeline.batch import ScanTask
-from ..pipeline.cachestore import LocalDirBackend, parse_size
+from ..pipeline.cachestore import parse_size
 from .http import (
     HttpServer,
     ProtocolError,
@@ -47,10 +42,6 @@ from .ratelimit import RateLimiter
 from .worker import execute_scan
 
 log = get_logger("service")
-
-#: One path segment of a cache entry key: no separators, no dot-files —
-#: a remote client cannot traverse out of the cache root.
-_KEY_SEGMENT = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
 @dataclass(frozen=True)
@@ -72,18 +63,14 @@ class ServiceConfig:
     #: Token-bucket capacity: how large a burst passes before the
     #: sustained rate applies.
     rate_burst: int = 8
-    #: Server-side cache root: serves the ``/v1/cache`` blueprint and is
-    #: the workers' ``local`` tier.  ``None`` disables both.
+    #: The workers' persistent artifact cache directory; ``None``
+    #: leaves them only their warm sessions.
     cache_dir: Optional[str] = None
-    #: Workers' ``--cache-backend`` spec; defaults to ``memory+local``
-    #: when a cache root is set (warm blobs in-process, shared on disk).
-    cache_backend: Optional[str] = None
     extended_checks: bool = False
     #: Reject request bodies beyond this size with 413.
     max_body_bytes: int = parse_size("16M")
     #: Test hook: builds the pool from the worker count.  ``None`` means
-    #: a real ``ProcessPoolExecutor``, created lazily on first scan —
-    #: cache-only deployments never start workers.
+    #: a real ``ProcessPoolExecutor``, created lazily on first scan.
     executor_factory: Optional[Callable[[int], object]] = None
 
 
@@ -100,9 +87,6 @@ class ScanService:
         self.server = HttpServer(
             self.handle, config.host, config.port, config.max_body_bytes
         )
-        self.cache = (
-            LocalDirBackend(config.cache_dir) if config.cache_dir else None
-        )
         self._scan_metrics = empty_snapshot()
         self._executor = None
         self._stop = asyncio.Event()
@@ -118,15 +102,11 @@ class ScanService:
         return f"http://{self.config.host}:{self.server.port}"
 
     def worker_options(self) -> NCheckerOptions:
-        spec = self.config.cache_backend
-        if spec is None and self.config.cache_dir:
-            spec = "memory+local"
         enabled = DEFAULT_CHECKS
         if self.config.extended_checks:
             enabled = DEFAULT_CHECKS | EXTENDED_CHECKS
         return NCheckerOptions(
             cache_dir=self.config.cache_dir,
-            cache_backend=spec,
             enabled_checks=enabled,
         )
 
@@ -184,8 +164,6 @@ class ScanService:
             return json_response(self.metrics_snapshot())
         if seg[:2] == ("v1", "scans"):
             return await self._route_scans(request, seg[2:])
-        if seg[:2] == ("v1", "cache"):
-            return self._route_cache(request, seg[2:])
         return error_response(404, f"no such resource: {request.path}")
 
     async def _route_scans(
@@ -350,7 +328,7 @@ class ScanService:
             "workers": self.config.workers,
             "queue_depth": self.config.queue_depth,
             "jobs": self.jobs.counts(),
-            "cache": self.cache is not None,
+            "cache": self.config.cache_dir is not None,
         })
 
     def metrics_snapshot(self) -> dict:
@@ -360,74 +338,6 @@ class ScanService:
 
     def _update_gauges(self) -> None:
         self.registry.set_gauge("service.jobs.active", self.jobs.active_count())
-
-    # -- cache blueprint -----------------------------------------------------
-
-    def _route_cache(
-        self, request: Request, rest: tuple[str, ...]
-    ) -> Response:
-        if self.cache is None:
-            return error_response(
-                503, "this daemon serves no cache (started without a "
-                "cache root; see --cache-dir)"
-            )
-        if rest == ("entries",) and request.method == "GET":
-            return json_response({"entries": [
-                {
-                    "app_fp": info.key.app_fp,
-                    "kind": info.key.kind,
-                    "digest": info.key.digest,
-                    "size": info.size,
-                    "mtime": info.mtime,
-                }
-                for info in self.cache.list_entries()
-            ]})
-        if rest == ("gc",) and request.method == "POST":
-            body = request.json() if request.body else {}
-            try:
-                max_bytes = int(body.get("max_bytes", 0))
-                grace = float(body.get("grace_seconds", 60.0))
-            except (TypeError, ValueError):
-                raise ProtocolError(400, "gc needs numeric max_bytes/"
-                                    "grace_seconds")
-            removed, freed = self.cache.gc(max_bytes, grace_seconds=grace)
-            self.registry.inc("service.cache.gc_removed", removed)
-            return json_response({"removed": removed, "freed": freed})
-        if rest == ("clear",) and request.method == "POST":
-            removed = self.cache.clear()
-            return json_response({"removed": removed})
-        if len(rest) == 3:
-            return self._cache_entry(request, rest)
-        return error_response(404, f"no such resource: {request.path}")
-
-    def _cache_entry(
-        self, request: Request, rest: tuple[str, ...]
-    ) -> Response:
-        from ..pipeline.cachestore import EntryKey
-
-        if not all(_KEY_SEGMENT.match(part) for part in rest):
-            return error_response(400, "malformed cache entry key")
-        key = EntryKey(*rest)
-        if request.method == "GET":
-            self.registry.inc("service.cache.gets")
-            found = self.cache.get(key)
-            if found is None:
-                self.registry.inc("service.cache.get_misses")
-                return error_response(404, "no such cache entry")
-            return Response(200, found.blob, "application/octet-stream")
-        if request.method == "PUT":
-            if not request.body:
-                return error_response(400, "empty cache entry body")
-            written = self.cache.put(key, request.body)
-            if not written:
-                return error_response(503, "cache write failed")
-            self.registry.inc("service.cache.puts")
-            return json_response({"stored": True}, status=201)
-        if request.method == "DELETE":
-            removed = self.cache.delete(key)
-            self.registry.inc("service.cache.deletes")
-            return json_response({"removed": removed})
-        return error_response(405, "cache entries support GET/PUT/DELETE")
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ client fetches is byte-identical to ``nchecker scan --json`` on the same
 APK, by construction.  The only difference is the checker's lifetime:
 :func:`execute_scan` keeps one :class:`~repro.core.checker.NChecker` per
 options profile in module state, so a worker process carries its
-``SessionCache`` (and, with a ``memory`` cache tier in the options, its
-in-process blob tier) across requests — a resubmitted unchanged app
-reuses the whole artifact store without touching disk.  Telemetry stays
-per task: the unit captures a fresh tracer/registry pair for each scan.
+``SessionCache`` across requests — a resubmission with the same content
+fingerprint reuses the whole artifact store without touching disk, and
+an edited resubmission gets a fresh session.  Telemetry stays per task:
+the unit captures a fresh tracer/registry pair for each scan.
 """
 
 from __future__ import annotations

@@ -4,12 +4,7 @@ from repro.core import NChecker
 from repro.core.defects import DefectKind
 from repro.core.requests import AnalysisContext
 from repro.corpus.appbuilder import AppBuilder
-from repro.dataflow.summaries import (
-    CONFIG_TOP,
-    RECEIVER,
-    SummaryEngine,
-    apk_fingerprint,
-)
+from repro.dataflow.summaries import CONFIG_TOP, RECEIVER, SummaryEngine
 from repro.ir import Local
 from repro.libmodels import default_registry
 from repro.obs import use_metrics
@@ -267,10 +262,6 @@ class TestEngineCache:
             checker.scan(apk)
         assert registry.counter_value("artifact.callgraph.builds") == 2
         assert registry.counter_value("artifact.summaries.builds") == 2
-
-    def test_fingerprint_stable_for_unchanged_app(self):
-        apk = _deep_chain_app()
-        assert apk_fingerprint(apk) == apk_fingerprint(apk)
 
 
 class TestEndToEnd:

@@ -110,7 +110,7 @@ class TestDiskCacheIdentity:
 
     def test_cold_then_warm(self, app_files, capsys, tmp_path):
         _, ref_out = _scan(app_files, capsys, [], ["--json"])
-        cache = ["--cache-backend", f"local:{tmp_path / 'cache'}"]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
         code_cold = main(["scan", *cache, "--json", *app_files])
         cold_out = capsys.readouterr().out
         code_warm = main(["scan", *cache, "--json", *app_files])

@@ -1,12 +1,12 @@
-"""Persistent cross-run artifact cache over the default local backend
-(`repro.pipeline.cachestore`'s ``LocalDirBackend``).
+"""Persistent cross-run artifact cache (`repro.pipeline.cachestore`'s
+``LocalDirBackend``).
 
 The contract under test: a warm re-scan of an unchanged app performs
 zero app-scoped artifact builds, scan output is byte-identical with the
 cache cold, warm, or disabled (including ``--jobs``), corrupted entries
 degrade to rebuilds, and the patch loop's output does not depend on the
-cache.  The backend seam itself (protocol conformance, memory/tiered
-backends, ``--cache-backend``) is covered in ``test_cachestore.py``.
+cache.  The blob store's own semantics (the conformance battery, format
+compatibility) are covered in ``test_cachestore.py``.
 """
 
 import json
@@ -83,6 +83,22 @@ class TestFingerprints:
         method.statements.insert(0, NopStmt())
         assert app_content_fingerprint(apk) != before
 
+    def test_class_header_change_changes_fingerprint(self):
+        apk = fresh_apk()
+        before = app_content_fingerprint(apk)
+        cls = next(iter(apk.classes()))
+        cls.interfaces = cls.interfaces + ("java.lang.Runnable",)
+        assert app_content_fingerprint(apk) != before
+
+    def test_field_change_changes_fingerprint(self):
+        from repro.ir.values import FieldSig
+
+        apk = fresh_apk()
+        before = app_content_fingerprint(apk)
+        cls = next(iter(apk.classes()))
+        cls.add_field(FieldSig(cls.name, "extra", "java.lang.String"))
+        assert app_content_fingerprint(apk) != before
+
     def test_registry_fingerprint_folds_model_version(self, monkeypatch):
         from repro.libmodels import default_registry
 
@@ -146,6 +162,25 @@ class TestWarmScan:
         assert [req.location() for req in r2.requests] == [
             req.location() for req in r1.requests
         ]
+
+    def test_superclass_edit_misses_the_cache(self, tmp_path):
+        """Dropping ``extends AsyncTask`` changes no method body but
+        rewires the call graph: a cache warmed on the original must not
+        serve the edit (it used to, with different findings)."""
+        from repro.corpus import PAPER_PROFILE, CorpusGenerator
+
+        apk, _ = CorpusGenerator(PAPER_PROFILE.scaled(40)).generate_app(34)
+        task = next(c for c in apk.classes() if c.superclass == "android.os.AsyncTask")
+        edited = loads_apk(dumps_apk(apk))
+        edited.get_class(task.name).superclass = "java.lang.Object"
+        cache_dir = tmp_path / "cache"
+        scan_once(cache_dir, apk)
+
+        cached, session = scan_once(cache_dir, edited)
+        fresh, _ = scan_once(None, loads_apk(dumps_apk(edited)))
+        assert session.store.counters.builds_of("callgraph") == 1
+        assert finding_sigs(cached) == finding_sigs(fresh)
+        assert cached.to_dict() == fresh.to_dict()
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -3,8 +3,7 @@
 Covers the full surface promised by ``docs/SERVICE.md``: submit → poll
 → fetch, byte-identical JSON/SARIF parity with the CLI on the same app,
 queue-full and rate-limit rejection, the ``/metrics`` merge across a
-multi-process pool, and the second-host warm scan through the
-``remote:URL`` cache tier.
+multi-process pool, and a warm worker rescanning an edited resubmission.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +157,14 @@ class TestBadRequests:
     def test_unknown_route_is_404(self, daemon):
         assert http("GET", daemon.base_url + "/v2/nope")[0] == 404
 
+    def test_clients_cannot_write_the_workers_cache(self, daemon):
+        """Cache entries are unpickled by the workers, so no route may
+        store client bytes under the cache root."""
+        path = "/v1/cache/" + "a" * 40 + "/callgraph/" + "0" * 32
+        status, _, _ = http("PUT", daemon.base_url + path, b"NCKC payload")
+        assert status == 404
+        assert http("GET", daemon.base_url + path)[0] == 404
+
     def test_submitting_with_get_is_405(self, daemon):
         assert http("GET", daemon.base_url + "/v1/scans")[0] == 405
 
@@ -301,38 +309,66 @@ class TestMetricsMerge:
             handle.stop()
 
 
-class TestRemoteSecondHost:
-    """The flagship cache-tier scenario: host A scans through
-    ``remote:URL`` and populates the daemon; host B completes the same
-    scan warm, with zero app-scoped artifact builds."""
+class InlineExecutor:
+    """A pool that runs each job at once in the daemon's own process, so
+    every submission lands on the same warm checker."""
 
-    def test_second_host_scans_warm_through_the_daemon(
-        self, tmp_path, capsys
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+UPLOADER = Path(__file__).resolve().parents[2] / "examples" / "apps" / "uploader.apkt"
+
+
+class TestEditedResubmission:
+    """An edit that keeps every method's statement count — or touches
+    only a class header — must still be rescanned: the warm worker's
+    session is keyed by app content."""
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("BasicHttpClient#get(", "BasicHttpClient#post("),
+            ("#getActiveNetworkInfo(", "#getActiveNetworkInfoNow("),
+            (" implements com.loopj.android.http.AsyncHttpResponseHandler", ""),
+        ],
+        ids=["request-method", "renamed-call", "class-header"],
+    )
+    def test_findings_match_a_cli_scan_of_the_edit(
+        self, old, new, tmp_path, capsys
     ):
-        handle = start_in_thread(
-            ServiceConfig(port=0, cache_dir=str(tmp_path / "served"))
-        )
+        original = UPLOADER.read_text()
+        edited = tmp_path / "uploader.apkt"
+        edited.write_text(original.replace(old, new))
+        assert edited.read_text() != original
+        main(["scan", "--json", "--no-disk-cache", str(edited)])
+        cli_bytes = capsys.readouterr().out.encode("utf-8")
+
+        handle = start_in_thread(ServiceConfig(
+            port=0, cache_dir=str(tmp_path / "served"),
+            executor_factory=lambda workers: InlineExecutor(),
+        ))
         try:
-            spec = f"remote:{handle.base_url}"
-            path = tmp_path / "shared.apkt"
-            path.write_text(app_text("com.two.hosts"))
-
-            main(["scan", "--json", "--cache-backend", spec, str(path)])
-            host_a = capsys.readouterr().out
-
-            metrics_file = tmp_path / "hostb.json"
-            main(["scan", "--json", "--cache-backend", spec,
-                  "--metrics", str(metrics_file), str(path)])
-            host_b = capsys.readouterr().out
-            assert host_b == host_a
-
-            counters = json.loads(metrics_file.read_text())["counters"]
-            assert app_builds(counters) == 0
-            for kind in ("callgraph", "summaries", "requests", "retry-loops"):
-                assert counters[f"cache.remote.{kind}.hits"] == 1
-
-            served = get_json(handle.base_url + "/metrics")["counters"]
-            assert served["service.cache.puts"] >= 4
-            assert served["service.cache.gets"] >= 4
+            first = submit_and_wait(
+                handle.base_url, original, filename=str(edited)
+            )
+            second = submit_and_wait(
+                handle.base_url, edited.read_text(), filename=str(edited)
+            )
+            assert first["status"] == second["status"] == "done"
+            _, _, first_body = http(
+                "GET", handle.base_url + first["links"]["findings"]
+            )
+            status, _, body = http(
+                "GET", handle.base_url + second["links"]["findings"]
+            )
         finally:
             handle.stop()
+        assert status == 200
+        assert first_body != cli_bytes  # the edit changes the findings
+        assert body == cli_bytes

@@ -1,10 +1,11 @@
 """The committed BENCH export: schema, provenance, and no retired
 counter names.
 
-PR 7 renamed the cache-hit counters from ``cache.disk.*`` to per-tier
-``cache.<tier>.*`` names; the committed measurements must not keep the
-retired spelling alive, and nothing the pipeline emits today may
-reintroduce it.
+The cache-hit counters were renamed from ``cache.disk.*`` to
+``cache.local.*``, and the ``memory`` and ``remote`` cache tiers (with
+their ``cache.memory.*`` and ``cache.remote.*`` counters) were removed;
+the committed measurements must not keep a retired name alive, and
+nothing the pipeline emits today may reintroduce one.
 """
 
 import json
@@ -15,7 +16,7 @@ from repro.obs import BENCH_SCHEMA_VERSION, use_metrics
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_FILE = REPO / "BENCH_pipeline.json"
-RETIRED_PREFIXES = ("cache.disk.",)
+RETIRED_PREFIXES = ("cache.disk.", "cache.memory.", "cache.remote.")
 
 
 class TestCommittedBenchFile:

@@ -1,7 +1,13 @@
 """CLI tests (`nchecker scan|experiments|corpus`)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.app import save_apk
 from repro.cli import main
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
@@ -65,6 +71,32 @@ class TestScan:
         main(["scan", "--summary", "--guard-aware", str(path)])
         aware_out = capsys.readouterr().out
         assert "missed-connectivity-check" in aware_out
+
+
+class TestStartupImports:
+    def test_scan_never_imports_the_http_client_stack(
+        self, buggy_app_file, tmp_path
+    ):
+        """A default ``scan --json`` (cache on) loads no network client
+        modules: they cost startup on every run and nothing in a scan
+        needs them."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env["NCHECKER_CACHE_DIR"] = str(tmp_path / "cache")
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro.cli",
+             "scan", "--json", str(buggy_app_file)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr  # the app is buggy
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "repro.pipeline.cachestore" in imported
+        assert "urllib.request" not in imported
+        assert "http.client" not in imported
 
 
 class TestErrorHandling:
