@@ -11,14 +11,6 @@ timed with ``benchmark.pedantic(rounds=1)``; micro-kernels use the plain
 import pytest
 
 
-@pytest.fixture(autouse=True)
-def _hermetic_disk_cache(tmp_path, monkeypatch):
-    """Keep benchmark runs cold and hermetic: the persistent artifact
-    cache defaults to ``$NCHECKER_CACHE_DIR``, so point it per-test at a
-    throwaway directory (the disk-cache benchmark manages its own)."""
-    monkeypatch.setenv("NCHECKER_CACHE_DIR", str(tmp_path / "artifact-cache"))
-
-
 def assert_close(measured, paper, tolerance, label=""):
     """Shape assertion: measured within ±tolerance (absolute, in the same
     unit as the paper's number — usually percentage points)."""

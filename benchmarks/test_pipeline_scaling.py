@@ -7,13 +7,15 @@ Four claims from the pipeline work, measured:
   *identical* results — the speedup is bounded by the core count, so the
   ≥2x assertion only applies on multi-core hosts (CI smoke runs may be
   single-core);
-* the persistent artifact cache (``--cache-dir``) makes a warm re-scan
+* the library's persistent artifact cache (``NCheckerOptions.cache_dir``)
+  makes a warm re-scan
   perform **zero** app-scoped artifact builds with identical findings,
   timed against both a cold and a cache-disabled sweep — including the
   ``threadcontext`` artifact the extended checks add (timed and
   asserted separately, since default scans never build it);
-* the ``nchecker serve`` daemon sustains the corpus over HTTP — warm
-  resubmissions complete with zero app-scoped artifact builds;
+* the ``nchecker serve`` daemon sustains the corpus over HTTP — a warm
+  resubmission that reaches the worker holding its session completes
+  with zero app-scoped artifact builds;
 * the patch loop (``Patcher.patch_until_clean``: one clone, then a
   fresh scan session per round) drives every buggy corpus app clean —
   recorded per app as wall time and rounds, the rounds read from the
@@ -314,7 +316,7 @@ def test_summary_laziness(benchmark):
     _record("summary_laziness", {"n_apps": n_apps, "modes": section})
 
 
-def test_service_throughput(benchmark, tmp_path):
+def test_service_throughput(benchmark):
     """The ``nchecker serve`` daemon under load: submissions/second over
     a small corpus (cold, then warm on the same daemon) — recorded to
     the ``service`` section of ``BENCH_pipeline.json``."""
@@ -328,9 +330,7 @@ def test_service_throughput(benchmark, tmp_path):
     blobs = [dumps_apk(apk) for apk in apps]
     app_kinds = ("callgraph", "summaries", "requests", "retry-loops", "icc-model")
 
-    handle = start_in_thread(ServiceConfig(
-        port=0, workers=workers, cache_dir=str(tmp_path / "served"),
-    ))
+    handle = start_in_thread(ServiceConfig(port=0, workers=workers))
 
     def get_json(path):
         with urllib.request.urlopen(handle.base_url + path, timeout=30) as r:
@@ -374,11 +374,20 @@ def test_service_throughput(benchmark, tmp_path):
         assert [v["findings"] for v in cold_views] == [
             v["findings"] for v in warm_views
         ]
-        # Warm jobs rebuild nothing app-scoped: either the worker's
-        # session is warm or the shared cache directory serves every blob.
-        for view in warm_views:
-            for kind in app_kinds:
-                assert view["counters"].get(f"artifact.{kind}.builds", 0) == 0
+        # Each job reports its own artifact counts.  A warm job on the
+        # worker that scanned the app cold rebuilds nothing app-scoped; one
+        # on the other worker (workers keep no shared disk cache) rebuilds
+        # exactly what the cold job built.
+        def app_builds(view):
+            return [
+                view["counters"].get(f"artifact.{kind}.builds", 0)
+                for kind in app_kinds
+            ]
+
+        warm_reuses = 0
+        for cold, warm in zip(cold_views, warm_views):
+            assert app_builds(warm) in ([0] * len(app_kinds), app_builds(cold))
+            warm_reuses += app_builds(warm) == [0] * len(app_kinds)
 
         service_counters = get_json("/metrics")["counters"]
         assert service_counters["service.scans.completed"] == 2 * n_apps
@@ -391,7 +400,7 @@ def test_service_throughput(benchmark, tmp_path):
         f"\nservice over {n_apps} apps ({workers} workers): "
         f"cold {cold_s*1000:.0f} ms ({cold_rps:.1f} scans/s), "
         f"warm {warm_s*1000:.0f} ms ({warm_rps:.1f} scans/s), "
-        f"zero warm builds"
+        f"{warm_reuses}/{n_apps} warm jobs reused a worker's session"
     )
     _record("service", {
         "n_apps": n_apps,
@@ -400,7 +409,7 @@ def test_service_throughput(benchmark, tmp_path):
         "warm_s": warm_s,
         "cold_scans_per_s": cold_rps,
         "warm_scans_per_s": warm_rps,
-        "warm_app_scoped_builds": 0,
+        "warm_session_reuses": warm_reuses,
         "counters": {
             name: value for name, value in sorted(service_counters.items())
             if name.startswith("service.")

@@ -7,7 +7,6 @@ Subcommands:
 * ``experiments [ids...]`` — regenerate the paper's tables/figures;
 * ``corpus <dir> [--apps N]`` — emit the synthetic evaluation corpus as
   ``.apkt`` files (inspectable, re-scannable);
-* ``cache stats|gc|clear`` — manage the persistent artifact cache;
 * ``bench record|compare|gate`` — record performance runs into the
   append-only run ledger and gate regressions against a baseline
   (``docs/BENCHMARKS.md``);
@@ -16,7 +15,8 @@ Subcommands:
 
 Every subcommand and flag is documented in ``docs/CLI.md``
 (``tests/test_docs.py`` asserts the doc covers this parser, so it
-cannot rot).
+cannot rot).  No command reads or writes a disk cache: every scan
+builds its artifacts in memory (``docs/ARCHITECTURE.md`` says why).
 """
 
 from __future__ import annotations
@@ -36,24 +36,6 @@ from .obs import get_logger
 log = get_logger("cli")
 
 
-def _resolve_cache_dir(args: argparse.Namespace) -> str | None:
-    """The persistent-cache root a command should use: ``--no-disk-cache``
-    wins, then ``--cache-dir``, then ``$NCHECKER_CACHE_DIR``, then the
-    conventional ``$XDG_CACHE_HOME/nchecker`` (``~/.cache/nchecker``)."""
-    if getattr(args, "no_disk_cache", False):
-        return None
-    explicit = getattr(args, "cache_dir", None)
-    if explicit:
-        return explicit
-    env = os.environ.get("NCHECKER_CACHE_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "nchecker")
-
-
 def _enabled_checks(args: argparse.Namespace) -> frozenset[str]:
     if getattr(args, "extended_checks", False):
         return DEFAULT_CHECKS | EXTENDED_CHECKS
@@ -65,7 +47,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         guard_aware_connectivity=args.guard_aware,
         interprocedural_connectivity=not args.intraprocedural,
         summary_based=not args.no_summaries,
-        cache_dir=_resolve_cache_dir(args),
         enabled_checks=_enabled_checks(args),
     )
     from .pipeline.batch import BatchScanner
@@ -256,11 +237,7 @@ def _cmd_patch(args: argparse.Namespace) -> int:
 
     if args.output and len(args.apps) > 1:
         args.parser.error("-o/--output requires exactly one input app")
-    checker = NChecker(
-        options=NCheckerOptions(
-            cache_dir=_resolve_cache_dir(args),
-        )
-    )
+    checker = NChecker()
     patcher = Patcher()
     exit_code = 0
     for path in args.apps:
@@ -364,30 +341,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from .pipeline.cachestore import LocalDirBackend, format_size, parse_size
-
-    backend = LocalDirBackend(_resolve_cache_dir(args))
-    if args.action == "stats":
-        print(backend.stats().render())
-        return 0
-    if args.action == "gc":
-        try:
-            max_bytes = parse_size(args.max_size)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        removed, freed = backend.gc(max_bytes, grace_seconds=args.min_age)
-        print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}, "
-              f"freed {format_size(freed)}")
-        return 0
-    if args.action == "clear":
-        removed = backend.clear()
-        print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
-        return 0
-    raise AssertionError(f"unknown cache action {args.action!r}")
-
-
 #: Where `bench record --baseline` / `bench gate --baseline` point by
 #: default — the file CI checks in and gates against (docs/BENCHMARKS.md).
 DEFAULT_BASELINE = "benchmarks/bench_baseline.json"
@@ -405,12 +358,9 @@ def _bench_apps(args: argparse.Namespace) -> list[str]:
 
 
 def _bench_measure(apps, jobs: int, options, label):
-    """One instrumented benchmark scan -> a ledger record.
-
-    The persistent cache is left disabled (the options carry no cache
-    dir) so every counter is a pure function of (apps, options)
-    — the determinism `bench compare`'s exact-match rule relies on.
-    """
+    """One instrumented benchmark scan -> a ledger record.  Every
+    counter is a pure function of (apps, options) — the determinism
+    `bench compare`'s exact-match rule relies on."""
     import time
 
     from .obs import app_set_digest, merge_snapshots, run_record
@@ -568,7 +518,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
-        cache_dir=_resolve_cache_dir(args),
         extended_checks=args.extended_checks,
         max_body_bytes=max_body,
     )
@@ -602,18 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="count", default=0,
         help="enable debug diagnostics on stderr",
     )
-    # The persistent artifact cache rides on every command that scans
-    # (and on `cache`, which manages it).  See docs/CACHING.md.
-    caching = argparse.ArgumentParser(add_help=False)
-    caching.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="persistent artifact cache location (default: "
-        "$NCHECKER_CACHE_DIR, else ~/.cache/nchecker)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="scan app files for NPDs",
-                          parents=[common, caching])
+                          parents=[common])
     scan.add_argument("apps", nargs="+", help=".apkt files to scan")
     scan.add_argument(
         "--summary", action="store_true", help="print per-kind counts only"
@@ -677,11 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the connectivity analysis to the request's method",
     )
     scan.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="do not read or write the persistent artifact cache "
-        "(output is byte-identical either way)",
-    )
-    scan.add_argument(
         "--extended-checks", action="store_true",
         help="also run the extended-taxonomy checks (ui-thread-network, "
         "callback-leak, offline-cache); off by default so output matches "
@@ -716,16 +652,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     patch = sub.add_parser(
         "patch", help="apply fix suggestions and write a patched .apkt",
-        parents=[common, caching],
+        parents=[common],
     )
     patch.add_argument("apps", nargs="+", help=".apkt files to patch")
     patch.add_argument(
         "-o", "--output", help="output path (single input only; default: "
         "<input>.fixed.apkt)"
-    )
-    patch.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="do not read or write the persistent artifact cache",
     )
     patch.set_defaults(func=_cmd_patch, parser=patch)
 
@@ -766,35 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus.set_defaults(func=_cmd_corpus)
 
-    cache = sub.add_parser(
-        "cache", help="inspect and manage the persistent artifact cache",
-    )
-    # The shared flags go on each action (not on `cache` itself): argparse
-    # subparsers re-apply their defaults over the parent namespace, so a
-    # flag accepted in both places would be silently clobbered.
-    action = cache.add_subparsers(dest="action", required=True)
-    action.add_parser(
-        "stats", help="print entry counts and sizes per artifact kind",
-        parents=[common, caching],
-    )
-    gc = action.add_parser(
-        "gc", help="drop least-recently-used entries to fit a size budget",
-        parents=[common, caching],
-    )
-    gc.add_argument(
-        "--max-size", required=True, metavar="SIZE",
-        help="target cache size, e.g. 512M, 1.5G, or a byte count",
-    )
-    gc.add_argument(
-        "--min-age", type=float, default=60.0, metavar="SECONDS",
-        help="never evict entries written within the last SECONDS "
-        "(grace window protecting concurrent scanners; default 60)",
-    )
-    action.add_parser(
-        "clear", help="delete every cache entry", parents=[common, caching]
-    )
-    cache.set_defaults(func=_cmd_cache)
-
     bench = sub.add_parser(
         "bench",
         help="record performance runs in the run ledger and gate "
@@ -804,8 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     record = bench_action.add_parser(
         "record",
-        help="run an instrumented, cache-disabled benchmark scan and "
-        "append it to the run ledger",
+        help="run an instrumented benchmark scan and append it to the "
+        "run ledger",
         parents=[common],
     )
     record.add_argument(
@@ -913,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the scan-as-a-service HTTP daemon (docs/SERVICE.md)",
-        parents=[common, caching],
+        parents=[common],
     )
     serve.add_argument(
         "--host", default="127.0.0.1", metavar="ADDR",
@@ -948,11 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-body", default="16M", metavar="SIZE",
         help="largest accepted request body (413 beyond it); sizes like "
         "16M, 1.5G, or raw bytes (default 16M)",
-    )
-    serve.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="serve without the persistent artifact cache (workers keep "
-        "only their warm sessions)",
     )
     serve.add_argument(
         "--extended-checks", action="store_true",

@@ -91,12 +91,11 @@ class NCheckerOptions:
     #: paper's two FP classes.
     inter_component: bool = False
     #: Root directory of the persistent cross-run artifact cache
-    #: (:mod:`repro.pipeline.cachestore`).  ``None`` — the library default —
-    #: keeps every artifact in-memory only; the CLI resolves this to
-    #: ``$NCHECKER_CACHE_DIR`` or ``~/.cache/nchecker`` unless
-    #: ``--no-disk-cache`` is given.  Cached artifacts are keyed by app
-    #: content, so the flag can never change scan output — only where the
-    #: artifacts come from.
+    #: (:mod:`repro.pipeline.cachestore`).  ``None`` — the default —
+    #: keeps every artifact in-memory only.  No CLI command or daemon
+    #: worker sets it; only library callers and the perfbench replay do.
+    #: Cached artifacts are keyed by app content, so a cache can never
+    #: change scan output — only where the artifacts come from.
     cache_dir: Optional[str] = None
     enabled_checks: frozenset[str] = DEFAULT_CHECKS
 

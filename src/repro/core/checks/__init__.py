@@ -14,13 +14,15 @@ from .retry_params import RetryParameterCheck
 from .ui_thread_network import UiThreadNetworkCheck
 
 
-def check_catalog(options) -> list[Check]:
+def check_catalog(options, icc_model=None) -> list[Check]:
     """One fresh instance of every registered check, in pipeline order —
-    the source of truth for ``nchecker checks`` and mirrored by the scan
-    session's pass construction.  ``options`` feeds the knobs a check's
-    constructor or :meth:`~Check.reads` consults (summary mode, guard
-    awareness); whether a check actually *runs* is decided by
-    ``options.enabled_checks``, which the caller compares names against.
+    the source of truth for ``nchecker checks`` and for the scan
+    session's passes.  ``options`` feeds the knobs a check's constructor
+    or :meth:`~Check.reads` consults (summary mode, guard awareness);
+    ``icc_model`` is the inter-component model the connectivity and
+    notification checks consult when the session built one.  Whether a
+    check actually *runs* is decided by ``options.enabled_checks``, which
+    the caller compares names against.
     """
     config_check = ConfigAPICheck()
     return [
@@ -28,10 +30,14 @@ def check_catalog(options) -> list[Check]:
         ConnectivityCheck(
             guard_aware=options.guard_aware_connectivity,
             interprocedural=options.interprocedural_connectivity,
+            icc_model=icc_model,
         ),
         RetryParameterCheck(config_check),
-        NotificationCheck(options.notification_callee_depth),
+        NotificationCheck(options.notification_callee_depth, icc_model=icc_model),
         ResponseCheck(),
+        # The extended (taxonomy-driven) checks: registered so
+        # `enabled_checks` can switch them on, absent from the default
+        # set so default-option output stays byte-identical.
         UiThreadNetworkCheck(),
         CallbackLeakCheck(),
         OfflineCacheCheck(),

@@ -10,9 +10,9 @@ sessions, batch scanning, the persistent cache.
 * :mod:`repro.pipeline.batch` — the scan unit the CLI and the daemon
   share, and its process fan-out (``nchecker scan --jobs N``) with
   deterministic, input-order-stable output;
-* :mod:`repro.pipeline.cachestore` — the persistent cross-run cache:
-  content addressing, codec, and one local-directory blob store behind
-  ``--cache-dir``.
+* :mod:`repro.pipeline.cachestore` — the library's persistent cross-run
+  cache (``NCheckerOptions.cache_dir``; the CLI and the daemon never set
+  it): content addressing, codec, and one local-directory blob store.
 """
 
 from .artifacts import (
@@ -24,7 +24,6 @@ from .artifacts import (
     REQUESTS,
     RETRY_LOOPS,
     SUMMARIES,
-    ArtifactCounters,
     ArtifactKey,
     ArtifactStore,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ARTIFACTS",
     "CacheStore",
     "LocalDirBackend",
-    "ArtifactCounters",
     "ArtifactKey",
     "ArtifactStore",
     "CALLGRAPH",

@@ -5,9 +5,10 @@ def-use chains, the interprocedural summary engine, the extracted
 requests, the customized retry loops, the ICC model — lives behind a
 typed :class:`ArtifactKey` in one :class:`ArtifactStore` per APK.  The
 store builds artifacts on demand (building an artifact first builds its
-declared dependencies), counts hits/builds for the cache-effectiveness
-benchmarks.  A store never sees its app change: the patch loop opens a
-new session (and so a new store) for every round.
+declared dependencies) and counts ``artifact.<kind>.builds`` /
+``.hits`` into the metrics registry active at each event.  A store
+never sees its app change: the patch loop opens a new session (and so
+a new store) for every round.
 
 The store is duck-type compatible with
 :class:`repro.callgraph.resolve.MethodAnalysisCache` (``cfg(method)`` /
@@ -24,7 +25,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..callgraph.entrypoints import MethodKey, method_key
 from ..obs import span
-from ..obs.metrics import MetricsRegistry
 from ..obs.metrics import metrics as active_metrics
 
 if TYPE_CHECKING:
@@ -86,41 +86,14 @@ ARTIFACTS: dict[str, ArtifactKey] = {
 }
 
 
-class ArtifactCounters:
-    """Build/hit accounting — a read view over the store's local
-    :class:`~repro.obs.metrics.MetricsRegistry`.
-
-    The bespoke dict counters this class used to hold now live as
-    ``artifact.<kind>.builds`` / ``artifact.<kind>.hits`` counters in the
-    telemetry registry (one per store, mirrored into the active global
-    registry so ``--metrics`` snapshots see them); the accessors keep the
-    benchmark and test API of the pre-telemetry counters.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-
-    @property
-    def builds(self) -> dict[str, int]:
-        return self._per_kind("builds")
-
-    @property
-    def hits(self) -> dict[str, int]:
-        return self._per_kind("hits")
-
-    def builds_of(self, name: str) -> int:
-        return self._registry.counter_value(f"artifact.{name}.builds")
-
-    def hits_of(self, name: str) -> int:
-        return self._registry.counter_value(f"artifact.{name}.hits")
-
-    def _per_kind(self, event: str) -> dict[str, int]:
-        suffix = f".{event}"
-        out: dict[str, int] = {}
-        for name, value in self._registry.snapshot()["counters"].items():
-            if name.startswith("artifact.") and name.endswith(suffix) and value:
-                out[name[len("artifact."):-len(suffix)]] = value
-        return out
+def set_callgraph_gauges(graph: "CallGraph") -> None:
+    """The call graph's size gauges, set whether it was built or loaded
+    from the persistent cache (so ``--stats`` reads the same)."""
+    registry = active_metrics()
+    registry.set_gauge("callgraph.methods", len(graph.methods))
+    registry.set_gauge(
+        "callgraph.edges", sum(len(edges) for edges in graph.out_edges.values())
+    )
 
 
 class ArtifactStore:
@@ -129,13 +102,6 @@ class ArtifactStore:
     def __init__(self, apk: "APK", registry: "LibraryRegistry") -> None:
         self.apk = apk
         self.registry = registry
-        #: Store-local telemetry, mirrored into the registry that was
-        #: active when the store was created (batch workers install a
-        #: fresh one per app and ship its snapshot back to the parent).
-        self.metrics = MetricsRegistry()
-        self._global = active_metrics()
-        self.counters = ArtifactCounters(self.metrics)
-        self._counter_pairs: dict[str, tuple] = {}
         self._app: dict[str, object] = {}
         self._cfgs: dict[MethodKey, "CFGGraph"] = {}
         self._defuse: dict[MethodKey, "DefUseChains"] = {}
@@ -153,32 +119,14 @@ class ArtifactStore:
     # -- telemetry -----------------------------------------------------------
 
     def _count(self, name: str, n: int = 1) -> None:
-        """Bump a counter in the store-local registry and, when distinct,
-        the active global one (so ``--metrics`` snapshots include it).
-
-        Counter objects are resolved once per name: cache-hit accounting
-        runs on every cfg/defuse/constants access, and the two name
-        lookups per bump were measurable on cold scans.
-        """
-        pair = self._counter_pairs.get(name)
-        if pair is None:
-            local = self.metrics.counter(name)
-            shared = (
-                self._global.counter(name)
-                if self._global is not self.metrics
-                else None
-            )
-            pair = (local, shared)
-            self._counter_pairs[name] = pair
-        local, shared = pair
-        local.inc(n)
-        if shared is not None:
-            shared.inc(n)
+        """Bump a counter in the registry active *now*: a store outlives
+        the scan that built it (a daemon worker's warm session serves many
+        jobs, each under its own registry), so every event is recorded
+        where the current scan's telemetry is collected."""
+        active_metrics().counter(name).inc(n)
 
     def _observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
-        if self._global is not self.metrics:
-            self._global.observe(name, value)
+        active_metrics().observe(name, value)
 
     # -- app-scoped artifacts ------------------------------------------------
 
@@ -213,8 +161,8 @@ class ArtifactStore:
     def adopt(self, key: ArtifactKey, value) -> None:
         """Install an externally produced artifact (a disk-cache load).
 
-        Counts neither a build nor a hit — the disk cache keeps its own
-        ``cache.disk.*`` accounting — so ``artifact.<kind>.builds`` stays
+        Counts neither a build nor a hit — the cache keeps its own
+        ``cache.local.*`` accounting — so ``artifact.<kind>.builds`` stays
         an exact count of in-process construction work.
         """
         if key.scope != "app":
@@ -241,11 +189,7 @@ class ArtifactStore:
         from ..callgraph.cha import CallGraph
 
         graph = CallGraph(self.apk, self.registry, self)
-        self._global.set_gauge("callgraph.methods", len(graph.methods))
-        self._global.set_gauge(
-            "callgraph.edges",
-            sum(len(edges) for edges in graph.out_edges.values()),
-        )
+        set_callgraph_gauges(graph)
         return graph
 
     def _build_summaries(self) -> "SummaryEngine":

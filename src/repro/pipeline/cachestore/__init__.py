@@ -1,30 +1,26 @@
-"""The persistent artifact cache (``--cache-dir`` / ``nchecker cache``).
+"""The persistent artifact cache, a library feature.
 
-One tier — a local directory — split along its concerns:
+No CLI command or daemon worker reads or writes it: a scan persists
+artifacts only when its ``NCheckerOptions.cache_dir`` names a directory,
+which library callers and the perfbench replay do (``docs/ARCHITECTURE.md``
+explains why the CLI has no disk cache).  One tier — a local directory —
+split along its concerns:
 
 * :mod:`~repro.pipeline.cachestore.fingerprints` — content addressing:
   app/registry/options fingerprints and the per-entry digest;
 * :mod:`~repro.pipeline.cachestore.codec` — serialization: the
   persistent-id pickler rewiring live session objects, plus the
   magic/version/checksum header enforcing corruption-is-a-miss;
-* :mod:`~repro.pipeline.cachestore.backend` — entry keys, entry
-  listings, stats and size parsing;
+* :mod:`~repro.pipeline.cachestore.backend` — entry keys and size
+  parsing;
 * :mod:`~repro.pipeline.cachestore.local` — :class:`LocalDirBackend`,
   the on-disk blob store (format-compatible with pre-split caches).
 
 :class:`CacheStore` (:mod:`~repro.pipeline.cachestore.store`) ties them
-together for the scan session.  The user-facing guide is
-``docs/CACHING.md``.
+together for the scan session.
 """
 
-from .backend import (
-    GC_GRACE_SECONDS,
-    CacheStats,
-    EntryInfo,
-    EntryKey,
-    format_size,
-    parse_size,
-)
+from .backend import EntryKey, parse_size
 from .codec import CacheMiss, decode_artifact, encode_artifact
 from .fingerprints import (
     CACHE_FORMAT_VERSION,
@@ -40,19 +36,15 @@ from .store import CacheStore
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
-    "GC_GRACE_SECONDS",
     "OPTIONS_READ_BY",
     "CacheMiss",
-    "CacheStats",
     "CacheStore",
-    "EntryInfo",
     "EntryKey",
     "LocalDirBackend",
     "app_content_fingerprint",
     "decode_artifact",
     "encode_artifact",
     "entry_digest",
-    "format_size",
     "method_content_hash",
     "options_fingerprint",
     "parse_size",

@@ -5,25 +5,24 @@ wrote):
 
     <root>/v<FORMAT>/<app_fp[:2]>/<app_fp>/<kind>-<digest>.bin
 
-one directory per app fingerprint (the per-APK cache files that
-``--jobs`` workers share), one entry file per artifact kind and
+one directory per app fingerprint, one entry file per artifact kind and
 declared-options subset.  Writes go through a temp file plus
-:func:`os.replace`, so parallel workers sharing one directory race
-benignly: readers see either the old or the new complete entry, never a
-torn one.
+:func:`os.replace`, so processes sharing one directory race benignly:
+readers see either the old or the new complete entry, never a torn one.
+The store has no eviction: whoever names a ``cache_dir`` (a library
+caller, the perfbench replay) owns the directory and removes it.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import time
 from pathlib import Path
 from typing import Optional
 
 from ...obs import get_logger
 from . import fingerprints
-from .backend import GC_GRACE_SECONDS, CacheStats, EntryInfo, EntryKey
+from .backend import EntryKey
 
 log = get_logger("cachestore.local")
 
@@ -100,102 +99,3 @@ class LocalDirBackend:
         except OSError:
             return False
         return True
-
-    # -- enumeration / management --------------------------------------------
-
-    def _entry_files(self) -> list[Path]:
-        """Every entry file under every format-version directory (stats,
-        gc, and clear cover stale ``v<N>`` trees too)."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p for p in self.root.glob("v*/??/*/*.bin") if p.is_file()
-        )
-
-    def list_entries(self) -> list[EntryInfo]:
-        entries = []
-        for path in self._entry_files():
-            kind, _, digest = path.stem.rpartition("-")
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            entries.append(EntryInfo(
-                EntryKey(path.parent.name, kind, digest),
-                st.st_size, st.st_mtime,
-            ))
-        return entries
-
-    def stats(self) -> CacheStats:
-        """Entry counts and bytes, in total and per artifact kind."""
-        by_kind: dict[str, tuple[int, int]] = {}
-        apps: set[str] = set()
-        total = 0
-        entries = self.list_entries()
-        for info in entries:
-            count, kind_bytes = by_kind.get(info.key.kind, (0, 0))
-            by_kind[info.key.kind] = (count + 1, kind_bytes + info.size)
-            apps.add(info.key.app_fp)
-            total += info.size
-        return CacheStats(
-            f"local {self.root}", len(apps), len(entries), total, by_kind
-        )
-
-    def gc(
-        self, max_bytes: int, grace_seconds: float = GC_GRACE_SECONDS
-    ) -> tuple[int, int]:
-        """Evict least-recently-written entries until the cache fits
-        ``max_bytes``, never touching entries younger than
-        ``grace_seconds``; returns ``(entries removed, bytes freed)``."""
-        files = []
-        for p in self._entry_files():
-            try:
-                files.append((p, p.stat()))
-            except OSError:
-                continue
-        total = sum(st.st_size for _p, st in files)
-        files.sort(key=lambda pair: pair[1].st_mtime)  # oldest first
-        fresh_after = time.time() - grace_seconds
-        removed = 0
-        freed = 0
-        for path, st in files:
-            if total <= max_bytes:
-                break
-            if st.st_mtime > fresh_after:
-                # Within the grace window: a concurrent scanner may have
-                # just published this entry — never evict it mid-flight.
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= st.st_size
-            freed += st.st_size
-            removed += 1
-        self._prune_empty_dirs()
-        return removed, freed
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self._entry_files():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        self._prune_empty_dirs()
-        return removed
-
-    def _prune_empty_dirs(self) -> None:
-        if not self.root.is_dir():
-            return
-        for directory in sorted(
-            (p for p in self.root.glob("v*/**/") if p.is_dir()),
-            key=lambda p: len(p.parts),
-            reverse=True,
-        ):
-            try:
-                directory.rmdir()  # fails (correctly) unless empty
-            except OSError:
-                pass

@@ -1,15 +1,17 @@
 """The session-facing cache: artifacts in, artifacts out.
 
 :class:`CacheStore` is what a :class:`~repro.pipeline.scan.ScanSession`
-holds: it owns the addressing (:mod:`.fingerprints`), the serialization
-(:mod:`.codec`), and the telemetry, and keeps the bytes in one
+holds when its options name a ``cache_dir``: it owns the addressing
+(:mod:`.fingerprints`), the serialization (:mod:`.codec`), and the
+telemetry, and keeps the bytes in one
 :class:`~repro.pipeline.cachestore.local.LocalDirBackend` directory.
+No CLI command or daemon worker sets ``cache_dir``; library callers and
+the perfbench replay do.
 
 Telemetry: ``cache.local.<kind>.hits`` / ``.misses`` counters and
 ``cache.local.<kind>.load_ms`` / ``.store_ms`` timers land in the
-store's registry (and the active global one), riding the same
-snapshot/merge protocol as every other counter — ``--metrics`` of a
-``--jobs N`` run sums them across workers.  A write counts one miss
+metrics registry active during the load or store, riding the same
+snapshot/merge protocol as every other counter.  A write counts one miss
 (the cache could not supply the artifact, so the scan built it), which
 makes ``hits/(hits+misses)`` the hit rate; an unusable entry also counts
 ``cache.local.errors``.
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ...callgraph.entrypoints import method_key
 from ...obs import get_logger
-from ..artifacts import ArtifactStore
+from ..artifacts import ArtifactStore, set_callgraph_gauges
 from ..passes import _APP_ARTIFACT_ORDER
 from .backend import EntryKey
 from .codec import CacheMiss, decode_artifact, encode_artifact
@@ -100,13 +102,7 @@ class CacheStore:
                 (time.perf_counter() - start) * 1000.0,
             )
             if key.name == "callgraph":
-                # Parity with _build_callgraph's gauges, so --stats reads
-                # the same whether the graph was built or loaded.
-                store._global.set_gauge("callgraph.methods", len(value.methods))
-                store._global.set_gauge(
-                    "callgraph.edges",
-                    sum(len(edges) for edges in value.out_edges.values()),
-                )
+                set_callgraph_gauges(value)
             loaded.add(key.name)
         return loaded
 

@@ -13,14 +13,15 @@ session for every round.  :class:`SessionCache` gives ``NChecker`` its
 repeat-scan behaviour (one session per package, reused only while the
 app's content fingerprint matches, LRU-bounded for corpus sweeps).
 
-Sessions are also where the **persistent cross-run cache**
-(:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_dir``) plugs
-in: before the first pass runs, every valid cached artifact for the
-app's content fingerprint is adopted into the store (zero builds on a
-warm run), and after each scan the artifacts the run had to build are
-written back to the cache directory.  Output is byte-identical with the
-cache hot, cold, or disabled — the cache only changes where artifacts
-come from.
+Sessions are also where the library's **persistent cross-run cache**
+(:mod:`repro.pipeline.cachestore`) plugs in, when a library caller sets
+``NCheckerOptions.cache_dir`` (no CLI command or daemon worker does):
+before the first pass runs, every valid cached artifact for the app's
+content fingerprint is adopted into the store (zero builds on a warm
+run), and after each scan the artifacts the run had to build are written
+back to the cache directory.  Output is byte-identical with the cache
+hot, cold, or disabled — the cache only changes where artifacts come
+from.
 """
 
 from __future__ import annotations
@@ -74,14 +75,7 @@ class ScanSession:
         """Fresh check instances for one scan (their per-request info maps
         are part of the scan's result), as (pass, enabled, instance)
         bookkeeping the result assembly needs."""
-        from ..core.checks.callback_leak import CallbackLeakCheck
-        from ..core.checks.config_apis import ConfigAPICheck
-        from ..core.checks.connectivity import ConnectivityCheck
-        from ..core.checks.notification import NotificationCheck
-        from ..core.checks.offline_cache import OfflineCacheCheck
-        from ..core.checks.response import ResponseCheck
-        from ..core.checks.retry_params import RetryParameterCheck
-        from ..core.checks.ui_thread_network import UiThreadNetworkCheck
+        from ..core.checks import check_catalog
 
         opts = self.options
         enabled = opts.enabled_checks
@@ -91,27 +85,10 @@ class ScanSession:
         ):
             icc_model = self.store.get(ICC_MODEL)
 
-        config_check = ConfigAPICheck()
-        notification_check = NotificationCheck(
-            opts.notification_callee_depth, icc_model=icc_model
-        )
-        checks = [
-            config_check,
-            ConnectivityCheck(
-                guard_aware=opts.guard_aware_connectivity,
-                interprocedural=opts.interprocedural_connectivity,
-                icc_model=icc_model,
-            ),
-            RetryParameterCheck(config_check),
-            notification_check,
-            ResponseCheck(),
-            # The extended (taxonomy-driven) checks: registered here so
-            # `enabled_checks` can switch them on, absent from the default
-            # set so default-option output stays byte-identical.
-            UiThreadNetworkCheck(),
-            CallbackLeakCheck(),
-            OfflineCacheCheck(),
-        ]
+        checks = check_catalog(opts, icc_model=icc_model)
+        by_name = {check.name: check for check in checks}
+        config_check = by_name["config-apis"]
+        notification_check = by_name["failure-notification"]
         scheduled = [
             ScheduledPass(check, resolve_reads(check.reads(opts)))
             for check in checks

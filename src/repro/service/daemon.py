@@ -63,9 +63,6 @@ class ServiceConfig:
     #: Token-bucket capacity: how large a burst passes before the
     #: sustained rate applies.
     rate_burst: int = 8
-    #: The workers' persistent artifact cache directory; ``None``
-    #: leaves them only their warm sessions.
-    cache_dir: Optional[str] = None
     extended_checks: bool = False
     #: Reject request bodies beyond this size with 413.
     max_body_bytes: int = parse_size("16M")
@@ -105,10 +102,7 @@ class ScanService:
         enabled = DEFAULT_CHECKS
         if self.config.extended_checks:
             enabled = DEFAULT_CHECKS | EXTENDED_CHECKS
-        return NCheckerOptions(
-            cache_dir=self.config.cache_dir,
-            enabled_checks=enabled,
-        )
+        return NCheckerOptions(enabled_checks=enabled)
 
     def _pool(self):
         if self._executor is None:
@@ -328,7 +322,6 @@ class ScanService:
             "workers": self.config.workers,
             "queue_depth": self.config.queue_depth,
             "jobs": self.jobs.counts(),
-            "cache": self.config.cache_dir is not None,
         })
 
     def metrics_snapshot(self) -> dict:

@@ -7,9 +7,12 @@ APK, by construction.  The only difference is the checker's lifetime:
 :func:`execute_scan` keeps one :class:`~repro.core.checker.NChecker` per
 options profile in module state, so a worker process carries its
 ``SessionCache`` across requests — a resubmission with the same content
-fingerprint reuses the whole artifact store without touching disk, and
-an edited resubmission gets a fresh session.  Telemetry stays per task:
-the unit captures a fresh tracer/registry pair for each scan.
+fingerprint reuses the whole in-memory artifact store, and an edited
+resubmission gets a fresh session.  Workers never read or write a disk
+cache.  Telemetry stays per task: the unit captures a fresh
+tracer/registry pair for each scan, and a warm store records its
+``artifact.*`` counts into whichever registry is active, so each job's
+snapshot carries its own hits.
 """
 
 from __future__ import annotations

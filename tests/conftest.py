@@ -11,14 +11,6 @@ from repro.core import NChecker
 from repro.ir import ClassBuilder, MethodBuilder
 
 
-@pytest.fixture(autouse=True)
-def _hermetic_disk_cache(tmp_path, monkeypatch):
-    """CLI commands default the persistent artifact cache to
-    ``$NCHECKER_CACHE_DIR``; point it at a per-test directory so tests
-    are cold, deterministic, and never touch the user's real cache."""
-    monkeypatch.setenv("NCHECKER_CACHE_DIR", str(tmp_path / "artifact-cache"))
-
-
 def make_method(build) -> "repro.ir.IRMethod":
     """Run ``build(b)`` against a fresh MethodBuilder and return the method."""
     b = MethodBuilder("com.test.C", "m")

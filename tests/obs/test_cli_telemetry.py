@@ -71,18 +71,15 @@ class TestTraceExport:
 
 
 class TestMetricsExport:
-    def _counters(self, tmp_path, capsys, jobs, *extra):
+    def _counters(self, tmp_path, capsys, jobs):
         out = tmp_path / f"m{jobs}.json"
-        main(["scan", "--jobs", str(jobs), "--metrics", str(out), *extra, *APPS])
+        main(["scan", "--jobs", str(jobs), "--metrics", str(out), *APPS])
         capsys.readouterr()
         return json.loads(out.read_text())
 
     def test_merged_worker_metrics_equal_a_jobs1_run(self, tmp_path, capsys):
-        # Cache off for both runs: the comparison is about merging worker
-        # telemetry, so the second run must not be warmer than the first
-        # (tests/pipeline/test_diskcache.py covers warm --jobs runs).
-        serial = self._counters(tmp_path, capsys, 1, "--no-disk-cache")
-        merged = self._counters(tmp_path, capsys, 2, "--no-disk-cache")
+        serial = self._counters(tmp_path, capsys, 1)
+        merged = self._counters(tmp_path, capsys, 2)
         assert serial["counters"] == merged["counters"]
         assert merged["counters"]["scan.apps"] == len(APPS)
         # Timing histograms merge too: counts are deterministic even

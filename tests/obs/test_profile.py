@@ -179,8 +179,7 @@ class TestFlattenAndRender:
 class TestCli:
     def _profile(self, tmp_path, capsys, jobs):
         out = tmp_path / f"m{jobs}.json"
-        main(["scan", "--jobs", str(jobs), "--no-disk-cache",
-              "--metrics", str(out), *APPS])
+        main(["scan", "--jobs", str(jobs), "--metrics", str(out), *APPS])
         capsys.readouterr()
         return json.loads(out.read_text())["profile"]
 
@@ -197,14 +196,14 @@ class TestCli:
         assert "load" in flat
 
     def test_profile_flag_renders_table_on_stderr_only(self, capsys):
-        main(["scan", "--no-disk-cache", "--profile", APPS[0]])
+        main(["scan", "--profile", APPS[0]])
         captured = capsys.readouterr()
         assert "== profile ==" in captured.err
         assert "== profile ==" not in captured.out
 
     def test_default_stdout_identical_with_profiling_on(self, capsys):
-        main(["scan", "--no-disk-cache", *APPS])
+        main(["scan", *APPS])
         plain = capsys.readouterr().out
-        main(["scan", "--no-disk-cache", "--profile", *APPS])
+        main(["scan", "--profile", *APPS])
         profiled = capsys.readouterr().out
         assert plain == profiled

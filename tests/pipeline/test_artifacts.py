@@ -1,7 +1,9 @@
-"""Artifact store: build-on-demand and hit counting."""
+"""Artifact store: build-on-demand and hit counting.  Counts land in the
+metrics registry active at each event, so the tests read them there."""
 
 from repro.corpus.snippets import RequestSpec
 from repro.libmodels import default_registry
+from repro.obs import use_metrics
 from repro.pipeline import (
     ARTIFACTS,
     CALLGRAPH,
@@ -20,30 +22,38 @@ def make_store(spec=None):
     return apk, ArtifactStore(apk, default_registry())
 
 
+def builds(registry, kind: str) -> int:
+    return registry.counter_value(f"artifact.{kind}.builds")
+
+
 class TestBuildOnDemand:
     def test_nothing_built_up_front(self):
-        _, store = make_store()
+        with use_metrics() as registry:
+            _, store = make_store()
         assert store.peek(CALLGRAPH) is None
-        assert store.counters.builds == {}
+        assert registry.snapshot()["counters"] == {}
 
     def test_get_builds_dependencies_first(self):
         _, store = make_store()
-        store.get(REQUESTS)
-        assert store.counters.builds_of("callgraph") == 1
-        assert store.counters.builds_of("requests") == 1
+        with use_metrics() as registry:
+            store.get(REQUESTS)
+        assert builds(registry, "callgraph") == 1
+        assert builds(registry, "requests") == 1
 
     def test_repeat_get_is_a_hit(self):
         _, store = make_store()
-        first = store.get(CALLGRAPH)
-        second = store.get(CALLGRAPH)
+        with use_metrics() as registry:
+            first = store.get(CALLGRAPH)
+            second = store.get(CALLGRAPH)
         assert first is second
-        assert store.counters.builds_of("callgraph") == 1
-        assert store.counters.hits_of("callgraph") == 1
+        assert builds(registry, "callgraph") == 1
+        assert registry.counter_value("artifact.callgraph.hits") == 1
 
     def test_retry_loops_pull_requests(self):
         _, store = make_store(RequestSpec(library="basichttp"))
-        store.get(RETRY_LOOPS)
-        assert store.counters.builds_of("requests") == 1
+        with use_metrics() as registry:
+            store.get(RETRY_LOOPS)
+        assert builds(registry, "requests") == 1
 
     def test_all_artifact_keys_registered(self):
         for key in (CALLGRAPH, REQUESTS, SUMMARIES, RETRY_LOOPS, ICC_MODEL):
@@ -54,10 +64,23 @@ class TestBuildOnDemand:
     def test_method_artifacts_counted(self):
         apk, store = make_store()
         method = next(iter(apk.methods()))
-        store.cfg(method)
-        store.cfg(method)
-        store.defuse(method)  # def-use pulls the CFG: another hit
-        assert store.counters.builds_of("cfg") == 1
-        assert store.counters.hits_of("cfg") == 2
-        assert store.counters.builds_of("defuse") == 1
+        with use_metrics() as registry:
+            store.cfg(method)
+            store.cfg(method)
+            store.defuse(method)  # def-use pulls the CFG: another hit
+        assert builds(registry, "cfg") == 1
+        assert registry.counter_value("artifact.cfg.hits") == 2
+        assert builds(registry, "defuse") == 1
 
+    def test_counts_follow_the_active_registry(self):
+        """A store outlives a scan (a daemon worker's warm session), so
+        each event lands in the registry active when it happens."""
+        _, store = make_store()
+        with use_metrics() as first:
+            store.get(CALLGRAPH)
+        with use_metrics() as second:
+            store.get(CALLGRAPH)
+        assert builds(first, "callgraph") == 1
+        assert first.counter_value("artifact.callgraph.hits") == 0
+        assert builds(second, "callgraph") == 0
+        assert second.counter_value("artifact.callgraph.hits") == 1

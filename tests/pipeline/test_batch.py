@@ -85,6 +85,23 @@ class TestScanUnit:
         assert first == second
         assert registry.counter_value("artifact.callgraph.builds") == 1
 
+    def test_each_warm_job_reports_its_own_artifact_counts(self, corpus_dir):
+        """A daemon worker reuses one checker (and so one warm artifact
+        store) across jobs, each captured under its own registry: every
+        job's snapshot carries the artifact events of that job."""
+        from repro.core import NChecker
+
+        checker = NChecker()
+        task = ScanTask(str(corpus_dir[0]), want_metrics=True)
+        cold, warm, again = (
+            scan_one(task, checker).metrics_snapshot["counters"]
+            for _ in range(3)
+        )
+        assert cold.get("artifact.callgraph.builds") == 1
+        for snapshot in (warm, again):
+            assert snapshot.get("artifact.requests.hits", 0) >= 1
+            assert snapshot.get("artifact.callgraph.builds", 0) == 0
+
     def test_capture_installs_nothing_when_nothing_is_asked(self):
         outer_tracer, outer_registry = tracer(), metrics()
         with capture_telemetry() as telemetry:

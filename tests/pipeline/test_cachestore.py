@@ -2,30 +2,32 @@
 
 The battery below pins the blob-store semantics documented in
 :mod:`repro.pipeline.cachestore.backend` (best-effort never raising,
-atomic publication, corruption-is-a-miss, gc grace) on
-:class:`LocalDirBackend`, the cache's one tier.  On top of it:
+atomic publication, corruption-is-a-miss) on :class:`LocalDirBackend`,
+the cache's one tier.  On top of it:
 
 * scan-level tests proving a warm re-scan does **zero** app-scoped
   builds, with hits counted under ``cache.local.*``;
 * format compatibility: ``LocalDirBackend`` reads a cache laid out by
   the pre-split disk-cache formula, and the entry header is pinned
   byte-for-byte;
-* CLI byte-identity with the cache disabled, cold and warm (with and
-  without ``--jobs``).
+* byte-identity of the scan unit's rendering with the cache disabled,
+  cold and warm (in-process and across a process pool), through
+  ``NCheckerOptions.cache_dir`` — the library path the perfbench replay
+  drives.
 """
 
 import hashlib
-import json
 import struct
 
 import pytest
 
 from repro.app import save_apk
 from repro.app.loader import dumps_apk, loads_apk
-from repro.cli import main
 from repro.core import NChecker
 from repro.core.checker import NCheckerOptions
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
+from repro.obs import merge_snapshots, use_metrics
+from repro.pipeline.batch import BatchScanner, ScanTask, scan_one
 from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
     CacheStore,
@@ -53,7 +55,12 @@ def key(kind="summaries", app_fp="a" * 40, digest="0123456789abcdef") -> EntryKe
 
 
 def unique_keys(backend) -> set[EntryKey]:
-    return {info.key for info in backend.list_entries()}
+    """The keys of every entry file under ``backend``'s current format."""
+    keys = set()
+    for path in backend.root.glob("v*/??/*/*.bin"):
+        kind, _, digest = path.stem.rpartition("-")
+        keys.add(EntryKey(path.parent.name, kind, digest))
+    return keys
 
 
 def fresh_apk():
@@ -69,21 +76,23 @@ def finding_sigs(result) -> list[tuple]:
 
 def scan_with(backend, apk=None):
     """One fresh-process-equivalent scan against ``backend``'s cache
-    directory (``None``: no cache)."""
+    directory (``None``: no cache); returns the result and the metrics
+    registry the scan recorded into."""
     options = NCheckerOptions(
         cache_dir=str(backend.root) if backend is not None else None
     )
     checker = NChecker(options=options)
     session = checker.open_session(apk if apk is not None else fresh_apk())
-    return session.scan(), session
+    with use_metrics() as registry:
+        result = session.scan()
+    return result, registry
 
 
-def app_builds(session) -> dict[str, int]:
-    return {kind: session.store.counters.builds_of(kind) for kind in APP_KINDS}
-
-
-def counter(session, name: str) -> int:
-    return session.store.metrics.counter_value(name)
+def app_builds(registry) -> dict[str, int]:
+    return {
+        kind: registry.counter_value(f"artifact.{kind}.builds")
+        for kind in APP_KINDS
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +115,7 @@ class TestBackendConformance:
         backend.put(k, b"new-and-longer")
         assert backend.get(k) == b"new-and-longer"
         assert unique_keys(backend) == {k}
-        assert all(
-            info.size == len(b"new-and-longer") for info in backend.list_entries()
-        )
+        assert backend.entry_path(k).stat().st_size == len(b"new-and-longer")
 
     def test_delete_drops_every_copy(self, backend):
         k = key()
@@ -126,54 +133,6 @@ class TestBackendConformance:
         backend.put(k2, b"two")
         assert backend.get(k1) == b"one"
         assert backend.get(k2) == b"two"
-
-    def test_list_entries_and_stats_agree(self, backend):
-        keys = [
-            key(kind="summaries", digest="d1" * 8),
-            key(kind="callgraph", digest="d2" * 8),
-            key(kind="callgraph", app_fp="b" * 40, digest="d3" * 8),
-        ]
-        for k in keys:
-            backend.put(k, b"abcdef")
-        entries = backend.list_entries()
-        assert unique_keys(backend) == set(keys)
-        stats = backend.stats()
-        assert stats.entries == len(entries)
-        assert stats.total_bytes == sum(info.size for info in entries)
-        assert stats.apps == 2
-        assert set(stats.by_kind) == {"summaries", "callgraph"}
-        rendered = stats.render()
-        assert "summaries" in rendered and "callgraph" in rendered
-
-    def test_gc_spares_entries_inside_the_grace_window(self, backend):
-        backend.put(key(), b"fresh")
-        removed, freed = backend.gc(0)  # default grace: just-written survives
-        assert (removed, freed) == (0, 0)
-        assert backend.get(key()) is not None
-
-    def test_gc_without_grace_enforces_the_budget(self, backend):
-        for i in range(3):
-            backend.put(key(digest=f"{i:016d}"), b"x" * 10)
-        removed, freed = backend.gc(0, grace_seconds=0)
-        assert removed == 3
-        assert freed == 30
-        assert backend.list_entries() == []
-
-    def test_gc_noop_when_under_budget(self, backend):
-        backend.put(key(), b"small")
-        assert backend.gc(1 << 30, grace_seconds=0) == (0, 0)
-        assert backend.get(key()) is not None
-
-    def test_clear_empties_everything(self, backend):
-        for i in range(3):
-            backend.put(key(digest=f"{i:016d}"), b"x")
-        assert backend.clear() == 3
-        assert backend.list_entries() == []
-        assert backend.stats().entries == 0
-
-    def test_clear_on_empty_backend(self, backend):
-        assert backend.clear() == 0
-
 
 # ---------------------------------------------------------------------------
 # Local-backend specifics: atomic publication and I/O-failure behaviour.
@@ -204,13 +163,6 @@ class TestLocalBackendEdgeCases:
         backend.entry_path(k).mkdir(parents=True)
         assert backend.get(k) is None
 
-    def test_stats_on_missing_root(self, tmp_path):
-        backend = LocalDirBackend(tmp_path / "never-created")
-        assert backend.stats().entries == 0
-        assert backend.gc(0, grace_seconds=0) == (0, 0)
-        assert backend.clear() == 0
-
-
 # ---------------------------------------------------------------------------
 # Scan-level behaviour: build-free warm re-scans with telemetry under
 # cache.local.*, and corruption degrades to a rebuild.
@@ -220,13 +172,13 @@ class TestLocalBackendEdgeCases:
 class TestWarmScanEveryBackend:
     def test_warm_rescan_is_build_free(self, backend):
         apk = fresh_apk()
-        cold_result, cold_session = scan_with(backend, apk)
-        assert cold_session.store.counters.builds_of("callgraph") == 1
+        cold_result, cold_metrics = scan_with(backend, apk)
+        assert app_builds(cold_metrics)["callgraph"] == 1
 
-        warm_result, warm_session = scan_with(backend, loads_apk(dumps_apk(apk)))
-        assert app_builds(warm_session) == dict.fromkeys(APP_KINDS, 0)
+        warm_result, warm_metrics = scan_with(backend, loads_apk(dumps_apk(apk)))
+        assert app_builds(warm_metrics) == dict.fromkeys(APP_KINDS, 0)
         for kind in PERSISTED_KINDS:
-            assert counter(warm_session, f"cache.local.{kind}.hits") == 1
+            assert warm_metrics.counter_value(f"cache.local.{kind}.hits") == 1
         assert finding_sigs(warm_result) == finding_sigs(cold_result)
 
     def test_output_matches_uncached_scan(self, backend):
@@ -239,14 +191,14 @@ class TestWarmScanEveryBackend:
         )
 
     def test_cold_scan_counts_one_miss_per_tier_written(self, backend):
-        _result, session = scan_with(backend)
-        assert counter(session, "cache.local.callgraph.misses") == 1
-        assert counter(session, "cache.local.callgraph.hits") == 0
+        _result, registry = scan_with(backend)
+        assert registry.counter_value("cache.local.callgraph.misses") == 1
+        assert registry.counter_value("cache.local.callgraph.hits") == 0
 
 
 class TestCorruptionEveryBackend:
     def summaries_key(self, backend) -> EntryKey:
-        [k] = {i.key for i in backend.list_entries() if i.key.kind == "summaries"}
+        [k] = {k for k in unique_keys(backend) if k.kind == "summaries"}
         return k
 
     def test_garbage_blob_is_a_miss_and_gets_repaired(self, backend):
@@ -255,11 +207,11 @@ class TestCorruptionEveryBackend:
         k = self.summaries_key(backend)
         backend.put(k, b"complete garbage, not even a header")
 
-        result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+        result, registry = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
-        assert session.store.counters.builds_of("summaries") == 1
-        assert counter(session, "cache.local.summaries.misses") >= 1
-        assert counter(session, "cache.local.errors") == 1
+        assert app_builds(registry)["summaries"] == 1
+        assert registry.counter_value("cache.local.summaries.misses") >= 1
+        assert registry.counter_value("cache.local.errors") == 1
         # The bad entry was dropped and the rebuilt artifact re-published
         # — the next reader gets a valid blob.
         repaired = backend.get(k)
@@ -273,9 +225,9 @@ class TestCorruptionEveryBackend:
         struct.pack_into(">I", stale, 4, CACHE_FORMAT_VERSION + 1)
         backend.put(k, bytes(stale))
 
-        result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+        result, registry = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
-        assert session.store.counters.builds_of("summaries") == 1
+        assert app_builds(registry)["summaries"] == 1
 
     def test_flipped_payload_byte_is_a_miss(self, backend):
         apk = fresh_apk()
@@ -285,9 +237,9 @@ class TestCorruptionEveryBackend:
         flipped[-1] ^= 0xFF
         backend.put(k, bytes(flipped))
 
-        result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+        result, registry = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
-        assert session.store.counters.builds_of("summaries") == 1
+        assert app_builds(registry)["summaries"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +303,10 @@ class TestPreSplitFormatCompat:
             dst.parent.mkdir(parents=True, exist_ok=True)
             dst.write_bytes(src.read_bytes())
 
-        result, session = scan_with(
+        result, registry = scan_with(
             LocalDirBackend(legacy_root), loads_apk(dumps_apk(apk))
         )
-        assert app_builds(session) == dict.fromkeys(APP_KINDS, 0)
+        assert app_builds(registry) == dict.fromkeys(APP_KINDS, 0)
         assert finding_sigs(result) == finding_sigs(cold_result)
 
 
@@ -374,8 +326,8 @@ class TestFromOptions:
 
 
 # ---------------------------------------------------------------------------
-# CLI: byte-identity and warm-run behaviour with the cache disabled, cold
-# and warm.
+# The scan unit over the library cache: byte-identity and warm-run
+# behaviour with the cache disabled, cold and warm.
 # ---------------------------------------------------------------------------
 
 
@@ -399,30 +351,24 @@ class TestCLIBackends:
         save_apk(clean, paths[1])
         return [str(p) for p in paths]
 
-    def run(self, argv, capsys):
-        code = main(argv)
-        return code, capsys.readouterr().out
+    def run(self, app_files, options, **wants):
+        return [scan_one(ScanTask(path, options, **wants)) for path in app_files]
 
-    def test_report_mode_byte_identical_across_specs(
-        self, app_files, tmp_path, capsys
-    ):
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        baseline = self.run(["scan", "--no-disk-cache", *app_files], capsys)
-        cold = self.run(["scan", *cache, *app_files], capsys)
-        warm = self.run(["scan", *cache, *app_files], capsys)
-        warm_jobs = self.run(["scan", *cache, "--jobs", "2", *app_files], capsys)
+    def test_report_mode_byte_identical_across_specs(self, app_files, tmp_path):
+        cached = NCheckerOptions(cache_dir=str(tmp_path / "cache"))
+        baseline = self.run(app_files, NCheckerOptions())
+        cold = self.run(app_files, cached)
+        warm = self.run(app_files, cached)
+        warm_jobs = BatchScanner(cached, jobs=2).scan_paths(app_files)
         assert baseline == cold == warm == warm_jobs
 
     @pytest.mark.parametrize("spec", ["local"])
-    def test_warm_run_is_build_free_on_every_spec(
-        self, spec, app_files, tmp_path, capsys
-    ):
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        warm_metrics = tmp_path / "warm.json"
-        main(["scan", *cache, *app_files])
-        main(["scan", *cache, "--metrics", str(warm_metrics), *app_files])
-        capsys.readouterr()
-        warm = json.loads(warm_metrics.read_text())["counters"]
+    def test_warm_run_is_build_free_on_every_spec(self, spec, app_files, tmp_path):
+        cached = NCheckerOptions(cache_dir=str(tmp_path / "cache"))
+        self.run(app_files, cached)
+        warm = merge_snapshots(
+            [p.metrics_snapshot for p in self.run(app_files, cached, want_metrics=True)]
+        )["counters"]
         for kind in APP_KINDS:
             assert warm.get(f"artifact.{kind}.builds", 0) == 0
         for kind in PERSISTED_KINDS:

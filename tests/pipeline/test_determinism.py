@@ -56,7 +56,7 @@ def app_files(tmp_path_factory):
 
 
 def _scan(app_files, capsys, extra, mode_args):
-    code = main(["scan", "--no-disk-cache", *extra, *mode_args, *app_files])
+    code = main(["scan", *extra, *mode_args, *app_files])
     return code, capsys.readouterr().out
 
 
@@ -103,21 +103,6 @@ class TestByteIdentity:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_sarif(self, app_files, capsys, tmp_path, variant):
         _assert_identical(app_files, capsys, tmp_path, variant, "sarif")
-
-
-class TestDiskCacheIdentity:
-    """A cold cache fill and a warm cache hit both match the reference."""
-
-    def test_cold_then_warm(self, app_files, capsys, tmp_path):
-        _, ref_out = _scan(app_files, capsys, [], ["--json"])
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        code_cold = main(["scan", *cache, "--json", *app_files])
-        cold_out = capsys.readouterr().out
-        code_warm = main(["scan", *cache, "--json", *app_files])
-        warm_out = capsys.readouterr().out
-        assert code_cold == code_warm
-        assert cold_out == ref_out
-        assert warm_out == ref_out
 
 
 def _counters(app_files, options):

@@ -1,12 +1,15 @@
 """Persistent cross-run artifact cache (`repro.pipeline.cachestore`'s
-``LocalDirBackend``).
+``LocalDirBackend``), a library feature set through
+``NCheckerOptions.cache_dir``.
 
 The contract under test: a warm re-scan of an unchanged app performs
-zero app-scoped artifact builds, scan output is byte-identical with the
-cache cold, warm, or disabled (including ``--jobs``), corrupted entries
-degrade to rebuilds, and the patch loop's output does not depend on the
-cache.  The blob store's own semantics (the conformance battery, format
-compatibility) are covered in ``test_cachestore.py``.
+zero app-scoped artifact builds, the scan unit's rendered output is
+byte-identical with the cache cold, warm, or disabled (including a
+process pool), corrupted entries degrade to rebuilds, and the patch
+loop's output does not depend on the cache.  The blob store's own
+semantics (the conformance battery, format compatibility) are covered
+in ``test_cachestore.py``.  Counts are read from the metrics registry
+active during the scan, as ``--metrics`` and the daemon read them.
 """
 
 import json
@@ -16,18 +19,18 @@ import pytest
 
 from repro.app import save_apk
 from repro.app.loader import dumps_apk, loads_apk
-from repro.cli import main
 from repro.core import NChecker
 from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from repro.core.patcher import Patcher
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
+from repro.eval.sarif import assemble_sarif_log
 from repro.ir.statements import NopStmt
+from repro.obs import merge_snapshots, use_metrics
+from repro.pipeline.batch import BatchScanner, ScanTask, scan_one
 from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
-    LocalDirBackend,
     app_content_fingerprint,
     fingerprints,
-    format_size,
     parse_size,
     registry_fingerprint,
 )
@@ -53,21 +56,29 @@ def finding_sigs(result) -> list[tuple]:
     ]
 
 
-def app_builds(session) -> dict[str, int]:
-    """The session's app-scoped build counts (method-scoped kinds are
-    rebuilt per process by design and excluded here)."""
+def app_builds(registry) -> dict[str, int]:
+    """A scan's app-scoped build counts (method-scoped kinds are rebuilt
+    per process by design and excluded here)."""
     return {
-        kind: session.store.counters.builds_of(kind) for kind in APP_KINDS
+        kind: registry.counter_value(f"artifact.{kind}.builds")
+        for kind in APP_KINDS
     }
 
 
 def scan_once(cache_dir, apk=None):
-    """One fresh-process-equivalent scan: new checker, new session."""
+    """One fresh-process-equivalent scan: new checker, new session.
+    Returns the result and the metrics registry the scan recorded into."""
     options = NCheckerOptions(cache_dir=str(cache_dir) if cache_dir else None)
     checker = NChecker(options=options)
     session = checker.open_session(apk if apk is not None else fresh_apk())
-    result = session.scan()
-    return result, session
+    with use_metrics() as registry:
+        result = session.scan()
+    return result, registry
+
+
+def entry_files(cache_dir) -> list:
+    """Every entry file under a cache directory's format-version trees."""
+    return sorted(cache_dir.glob("v*/??/*/*.bin"))
 
 
 class TestFingerprints:
@@ -125,27 +136,6 @@ class TestSizes:
         with pytest.raises(ValueError):
             parse_size(bad)
 
-    def test_format_size(self):
-        assert format_size(512) == "512B"
-        assert format_size(2048) == "2.0K"
-        assert format_size(3 << 20) == "3.0M"
-
-    @pytest.mark.parametrize(
-        "n", [0, 1, 512, 1024, 1536, 2048, 1 << 20, 3 << 29, 5 << 30]
-    )
-    def test_format_size_round_trips_exactly(self, n):
-        """Any byte count whose rendering carries no rounding loss comes
-        back exactly through parse_size."""
-        assert parse_size(format_size(n)) == n
-
-    @pytest.mark.parametrize("n", [999, 1025, 1536 * 1024 + 7, (1 << 30) + 123])
-    def test_format_size_round_trips_within_rendered_precision(self, n):
-        """The general guarantee: rendering keeps one decimal, so the
-        round-trip lands within half a rendered decimal of the input."""
-        text = format_size(n)
-        unit = {"B": 1, "K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[text[-1]]
-        assert abs(parse_size(text) - n) <= unit * 0.05 + 1
-
 
 class TestWarmScan:
     def test_cold_builds_then_warm_adopts(self, tmp_path):
@@ -157,7 +147,7 @@ class TestWarmScan:
         r2, s2 = scan_once(cache_dir)
         assert app_builds(s2) == dict.fromkeys(APP_KINDS, 0)
         for kind in ("callgraph", "summaries", "requests", "retry-loops"):
-            assert s2.store.metrics.counter_value(f"cache.local.{kind}.hits") == 1
+            assert s2.counter_value(f"cache.local.{kind}.hits") == 1
         assert finding_sigs(r2) == finding_sigs(r1)
         assert [req.location() for req in r2.requests] == [
             req.location() for req in r1.requests
@@ -176,25 +166,26 @@ class TestWarmScan:
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir, apk)
 
-        cached, session = scan_once(cache_dir, edited)
+        cached, registry = scan_once(cache_dir, edited)
         fresh, _ = scan_once(None, loads_apk(dumps_apk(edited)))
-        assert session.store.counters.builds_of("callgraph") == 1
+        assert app_builds(registry)["callgraph"] == 1
         assert finding_sigs(cached) == finding_sigs(fresh)
         assert cached.to_dict() == fresh.to_dict()
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        _r, _s = scan_once(None)
+        _r, _m = scan_once(None)
         assert not cache_dir.exists()
-        assert LocalDirBackend(cache_dir)._entry_files() == []
 
     def test_repeat_scan_rewrites_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        _r, session = scan_once(cache_dir)
-        entries = {p: p.stat().st_mtime_ns for p in LocalDirBackend(cache_dir)._entry_files()}
+        options = NCheckerOptions(cache_dir=str(cache_dir))
+        session = NChecker(options=options).open_session(fresh_apk())
+        session.scan()
+        entries = {p: p.stat().st_mtime_ns for p in entry_files(cache_dir)}
         assert entries
         session.scan()  # same session, same fingerprint: already synced
-        after = {p: p.stat().st_mtime_ns for p in LocalDirBackend(cache_dir)._entry_files()}
+        after = {p: p.stat().st_mtime_ns for p in entry_files(cache_dir)}
         assert after == entries
 
     def test_format_version_bump_is_cold(self, tmp_path, monkeypatch):
@@ -203,20 +194,20 @@ class TestWarmScan:
         monkeypatch.setattr(
             fingerprints, "CACHE_FORMAT_VERSION", CACHE_FORMAT_VERSION + 1
         )
-        _r, session = scan_once(cache_dir)
-        assert app_builds(session)["callgraph"] == 1  # old entries unusable
+        _r, registry = scan_once(cache_dir)
+        assert app_builds(registry)["callgraph"] == 1  # old entries unusable
 
     def test_library_model_bump_is_cold(self, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir)
         monkeypatch.setattr(fingerprints, "LIBMODELS_VERSION", 9999)
-        _r, session = scan_once(cache_dir)
-        assert app_builds(session)["callgraph"] == 1
+        _r, registry = scan_once(cache_dir)
+        assert app_builds(registry)["callgraph"] == 1
 
 
 class TestCorruption:
     def entry(self, cache_dir, kind) -> "list":
-        return [p for p in LocalDirBackend(cache_dir)._entry_files()
+        return [p for p in entry_files(cache_dir)
                 if p.name.startswith(f"{kind}-")]
 
     def corrupt_and_rescan(self, tmp_path, mutate, kind="summaries"):
@@ -224,32 +215,31 @@ class TestCorruption:
         r1, _ = scan_once(cache_dir)
         (path,) = self.entry(cache_dir, kind)
         mutate(path)
-        r2, session = scan_once(cache_dir)
+        r2, registry = scan_once(cache_dir)
         assert finding_sigs(r2) == finding_sigs(r1)
-        return session, path
+        return registry, path
 
     def test_truncated_entry_is_a_miss_and_rebuilds(self, tmp_path):
         def truncate(path):
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
-        session, path = self.corrupt_and_rescan(tmp_path, truncate)
-        m = session.store.metrics
+        m, path = self.corrupt_and_rescan(tmp_path, truncate)
         # One miss for the unreadable entry, one for the write-back of
         # the rebuilt artifact (every write counts as a miss).
         assert m.counter_value("cache.local.summaries.misses") == 2
         assert m.counter_value("cache.local.errors") == 1
-        assert app_builds(session)["summaries"] == 1
-        assert app_builds(session)["callgraph"] == 0  # others still warm
+        assert app_builds(m)["summaries"] == 1
+        assert app_builds(m)["callgraph"] == 0  # others still warm
         # The rebuilt artifact overwrote the bad entry: next scan is clean.
         _r3, s3 = scan_once(tmp_path / "cache")
         assert app_builds(s3) == dict.fromkeys(APP_KINDS, 0)
-        assert s3.store.metrics.counter_value("cache.local.errors") == 0
+        assert s3.counter_value("cache.local.errors") == 0
 
     def test_truncated_below_header_is_a_miss(self, tmp_path):
-        session, _ = self.corrupt_and_rescan(
+        registry, _ = self.corrupt_and_rescan(
             tmp_path, lambda p: p.write_bytes(b"NC")
         )
-        assert session.store.metrics.counter_value("cache.local.errors") == 1
+        assert registry.counter_value("cache.local.errors") == 1
 
     def test_bad_magic_is_a_miss(self, tmp_path):
         def stamp(path):
@@ -257,8 +247,8 @@ class TestCorruption:
             data[:4] = b"XXXX"
             path.write_bytes(bytes(data))
 
-        session, _ = self.corrupt_and_rescan(tmp_path, stamp)
-        assert session.store.metrics.counter_value("cache.local.errors") == 1
+        registry, _ = self.corrupt_and_rescan(tmp_path, stamp)
+        assert registry.counter_value("cache.local.errors") == 1
 
     def test_header_version_mismatch_is_a_miss(self, tmp_path):
         def bump_version(path):
@@ -266,8 +256,8 @@ class TestCorruption:
             struct.pack_into(">I", data, 4, CACHE_FORMAT_VERSION + 7)
             path.write_bytes(bytes(data))
 
-        session, _ = self.corrupt_and_rescan(tmp_path, bump_version)
-        assert session.store.metrics.counter_value("cache.local.errors") == 1
+        registry, _ = self.corrupt_and_rescan(tmp_path, bump_version)
+        assert registry.counter_value("cache.local.errors") == 1
 
     def test_flipped_payload_byte_is_a_miss(self, tmp_path):
         def flip(path):
@@ -275,8 +265,8 @@ class TestCorruption:
             data[-1] ^= 0xFF
             path.write_bytes(bytes(data))
 
-        session, _ = self.corrupt_and_rescan(tmp_path, flip)
-        assert session.store.metrics.counter_value("cache.local.errors") == 1
+        registry, _ = self.corrupt_and_rescan(tmp_path, flip)
+        assert registry.counter_value("cache.local.errors") == 1
 
 
 class TestPatchWarmStart:
@@ -297,76 +287,10 @@ class TestPatchWarmStart:
         assert len(applied_cached) == len(applied_plain)
 
 
-class TestManagement:
-    def populated(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        scan_once(cache_dir)
-        return LocalDirBackend(cache_dir)
-
-    def test_stats(self, tmp_path):
-        cache = self.populated(tmp_path)
-        stats = cache.stats()
-        assert stats.apps == 1
-        assert stats.entries == len(cache._entry_files()) > 0
-        assert stats.total_bytes == sum(
-            p.stat().st_size for p in cache._entry_files()
-        )
-        assert set(stats.by_kind) <= set(APP_KINDS)
-        assert str(stats.entries) in stats.render()
-
-    def test_gc_drops_oldest_until_under_budget(self, tmp_path):
-        cache = self.populated(tmp_path)
-        total = cache.stats().total_bytes
-        keep = max(p.stat().st_size for p in cache._entry_files())
-        removed, freed = cache.gc(keep, grace_seconds=0)
-        assert removed > 0 and freed > 0
-        assert cache.stats().total_bytes <= keep
-        assert freed == total - cache.stats().total_bytes
-
-    def test_gc_noop_when_under_budget(self, tmp_path):
-        cache = self.populated(tmp_path)
-        assert cache.gc(1 << 30, grace_seconds=0) == (0, 0)
-
-    def test_gc_spares_entries_inside_the_grace_window(self, tmp_path):
-        """A freshly written entry survives gc regardless of the budget:
-        a collection racing a concurrent scanner must not drop an
-        in-flight entry (default 60s mtime grace)."""
-        import os
-        import time
-
-        cache = self.populated(tmp_path)
-        files = cache._entry_files()
-        assert files
-        # Age every entry but one out of the grace window.
-        old = time.time() - 3600
-        fresh = files[0]
-        for path in files[1:]:
-            os.utime(path, (old, old))
-        removed, _freed = cache.gc(0)  # default grace window
-        assert removed == len(files) - 1
-        assert cache._entry_files() == [fresh]
-        # Once it ages out, the same budget takes it too.
-        os.utime(fresh, (old, old))
-        assert cache.gc(0)[0] == 1
-        assert cache._entry_files() == []
-
-    def test_clear_empties_everything(self, tmp_path):
-        cache = self.populated(tmp_path)
-        removed = cache.clear()
-        assert removed > 0
-        assert cache._entry_files() == []
-        assert cache.stats().entries == 0
-
-    def test_stats_on_missing_root(self, tmp_path):
-        cache = LocalDirBackend(tmp_path / "never-created")
-        assert cache.stats().entries == 0
-        assert cache.gc(0) == (0, 0)
-        assert cache.clear() == 0
-
-
 class TestCLIByteIdentity:
-    """Scan output must be byte-identical with the cache disabled, cold,
-    and warm — the driver-facing acceptance criterion."""
+    """What the CLI prints is what the scan unit renders; that rendering
+    must be byte-identical with the library cache disabled, cold, and
+    warm, in-process and across a process pool."""
 
     @pytest.fixture()
     def app_files(self, tmp_path):
@@ -387,66 +311,69 @@ class TestCLIByteIdentity:
         save_apk(clean, paths[1])
         return [str(p) for p in paths]
 
-    def run(self, argv, capsys):
-        code = main(argv)
-        out = capsys.readouterr().out
-        return code, out
+    def modes(self, app_files, tmp_path, **wants):
+        """Payloads with the cache disabled, cold, warm, and warm across
+        two worker processes."""
+        cached = NCheckerOptions(cache_dir=str(tmp_path / "cache"))
+        return [
+            render(app_files, NCheckerOptions(), **wants),
+            render(app_files, cached, **wants),
+            render(app_files, cached, **wants),
+            BatchScanner(cached, jobs=2).scan_paths(app_files, **wants),
+        ]
 
-    def test_report_mode(self, app_files, capsys):
-        disabled = self.run(["scan", "--no-disk-cache", *app_files], capsys)
-        cold = self.run(["scan", *app_files], capsys)
-        warm = self.run(["scan", *app_files], capsys)
-        warm_jobs = self.run(["scan", "--jobs", "2", *app_files], capsys)
+    def test_report_mode(self, app_files, tmp_path):
+        disabled, cold, warm, warm_jobs = self.modes(app_files, tmp_path)
         assert disabled == cold == warm == warm_jobs
+        assert disabled[0].report_texts
 
-    def test_json_mode(self, app_files, capsys):
-        disabled = self.run(["scan", "--json", "--no-disk-cache", *app_files], capsys)
-        cold = self.run(["scan", "--json", *app_files], capsys)
-        warm = self.run(["scan", "--json", *app_files], capsys)
-        assert disabled == cold == warm
+    def test_json_mode(self, app_files, tmp_path):
+        outputs = {
+            json.dumps([p.json_dict for p in payloads], indent=2)
+            for payloads in self.modes(app_files, tmp_path, want_json=True)
+        }
+        assert len(outputs) == 1
 
-    def test_sarif_output(self, app_files, tmp_path, capsys):
-        logs = []
-        for name, extra in (
-            ("disabled", ["--no-disk-cache"]), ("cold", []), ("warm", []),
-            ("jobs", ["--jobs", "2"]),
-        ):
-            path = tmp_path / f"{name}.sarif"
-            main(["scan", "--sarif", str(path), *extra, *app_files])
-            capsys.readouterr()
-            logs.append(path.read_bytes())
-        assert len(set(logs)) == 1
+    def test_sarif_output(self, app_files, tmp_path):
+        logs = {
+            json.dumps(
+                assemble_sarif_log(
+                    [k for p in payloads for k in p.sarif_kind_values],
+                    [r for p in payloads for r in p.sarif_results],
+                ),
+                indent=2,
+            )
+            for payloads in self.modes(app_files, tmp_path, want_sarif=True)
+        }
+        assert len(logs) == 1
 
-    def test_warm_run_has_zero_app_builds(self, app_files, tmp_path, capsys):
-        cold_metrics = tmp_path / "cold.json"
-        warm_metrics = tmp_path / "warm.json"
-        main(["scan", "--metrics", str(cold_metrics), *app_files])
-        main(["scan", "--metrics", str(warm_metrics), *app_files])
-        capsys.readouterr()
-        cold = json.loads(cold_metrics.read_text())["counters"]
-        warm = json.loads(warm_metrics.read_text())["counters"]
+    def test_warm_run_has_zero_app_builds(self, app_files, tmp_path):
+        options = NCheckerOptions(cache_dir=str(tmp_path / "cache"))
+        cold = counters(render(app_files, options, want_metrics=True))
+        warm = counters(render(app_files, options, want_metrics=True))
         assert cold.get("artifact.callgraph.builds", 0) == 2  # two apps
         for kind in APP_KINDS:
             assert warm.get(f"artifact.{kind}.builds", 0) == 0
         for kind in ("callgraph", "summaries", "requests", "retry-loops"):
             assert warm.get(f"cache.local.{kind}.hits", 0) == 2
 
-    def test_warm_jobs_run_has_zero_app_builds(self, app_files, tmp_path, capsys):
-        warm_metrics = tmp_path / "warm-jobs.json"
-        main(["scan", *app_files])  # cold, populate
-        main(["scan", "--jobs", "2", "--metrics", str(warm_metrics), *app_files])
-        capsys.readouterr()
-        warm = json.loads(warm_metrics.read_text())["counters"]
+    def test_warm_jobs_run_has_zero_app_builds(self, app_files, tmp_path):
+        options = NCheckerOptions(cache_dir=str(tmp_path / "cache"))
+        render(app_files, options)  # cold, populate
+        warm = counters(
+            BatchScanner(options, jobs=2).scan_paths(app_files, want_metrics=True)
+        )
         for kind in APP_KINDS:
             assert warm.get(f"artifact.{kind}.builds", 0) == 0
 
-    def test_no_disk_cache_flag_leaves_cache_untouched(
-        self, app_files, tmp_path, capsys, monkeypatch
-    ):
-        cache_dir = tmp_path / "explicit-cache"
-        main(["scan", "--no-disk-cache", "--cache-dir", str(cache_dir), *app_files])
-        capsys.readouterr()
-        assert not cache_dir.exists()
+
+def render(app_files, options, **wants) -> list:
+    """The scan unit's payload for each app file, in-process."""
+    return [scan_one(ScanTask(path, options, **wants)) for path in app_files]
+
+
+def counters(payloads) -> dict:
+    return merge_snapshots([p.metrics_snapshot for p in payloads])["counters"]
 
 
 class TestExtendedChecksCache:
@@ -454,32 +381,34 @@ class TestExtendedChecksCache:
     rides the same persistent cache: one cold build per app, zero on any
     warm re-scan, and byte-identical `--extended-checks` output."""
 
-    def scan_extended(self, cache_dir, apk=None):
-        options = NCheckerOptions(
-            cache_dir=str(cache_dir),
+    def options(self, cache_dir=None) -> NCheckerOptions:
+        return NCheckerOptions(
+            cache_dir=str(cache_dir) if cache_dir else None,
             enabled_checks=DEFAULT_CHECKS | EXTENDED_CHECKS,
         )
-        checker = NChecker(options=options)
+
+    def scan_extended(self, cache_dir, apk=None):
+        checker = NChecker(options=self.options(cache_dir))
         session = checker.open_session(apk if apk is not None else fresh_apk())
-        return session.scan(), session
+        with use_metrics() as registry:
+            result = session.scan()
+        return result, registry
 
     def test_warm_rescan_builds_zero_threadcontexts(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        r1, s1 = self.scan_extended(cache_dir)
-        assert s1.store.counters.builds_of("threadcontext") == 1
+        r1, m1 = self.scan_extended(cache_dir)
+        assert m1.counter_value("artifact.threadcontext.builds") == 1
 
-        r2, s2 = self.scan_extended(cache_dir)
-        assert s2.store.counters.builds_of("threadcontext") == 0
-        assert (
-            s2.store.metrics.counter_value("cache.local.threadcontext.hits") == 1
-        )
-        assert app_builds(s2) == dict.fromkeys(APP_KINDS, 0)
+        r2, m2 = self.scan_extended(cache_dir)
+        assert m2.counter_value("artifact.threadcontext.builds") == 0
+        assert m2.counter_value("cache.local.threadcontext.hits") == 1
+        assert app_builds(m2) == dict.fromkeys(APP_KINDS, 0)
         assert finding_sigs(r2) == finding_sigs(r1)
 
     def test_default_scan_never_persists_threadcontext(self, tmp_path):
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir)
-        entries = LocalDirBackend(cache_dir)._entry_files()
+        entries = entry_files(cache_dir)
         assert entries
         assert not [p for p in entries if p.name.startswith("threadcontext-")]
 
@@ -494,90 +423,26 @@ class TestExtendedChecksCache:
             paths.append(str(path))
         return paths
 
-    def test_cli_byte_identity(self, lifecycle_files, capsys):
-        def run(extra):
-            code = main(["scan", "--extended-checks", *extra, *lifecycle_files])
-            return code, capsys.readouterr().out
-
-        disabled = run(["--no-disk-cache"])
-        cold = run([])
-        warm = run([])
-        warm_jobs = run(["--jobs", "2"])
+    def test_cli_byte_identity(self, lifecycle_files, tmp_path):
+        cached = self.options(tmp_path / "cache")
+        disabled = render(lifecycle_files, self.options())
+        cold = render(lifecycle_files, cached)
+        warm = render(lifecycle_files, cached)
+        warm_jobs = BatchScanner(cached, jobs=2).scan_paths(lifecycle_files)
         assert disabled == cold == warm == warm_jobs
-        assert "main (UI) thread" in disabled[1]
+        assert any(
+            "main (UI) thread" in text
+            for payload in disabled
+            for text in payload.report_texts
+        )
 
     def test_cli_warm_run_has_zero_threadcontext_builds(
-        self, lifecycle_files, tmp_path, capsys
+        self, lifecycle_files, tmp_path
     ):
-        warm_metrics = tmp_path / "warm.json"
-        main(["scan", "--extended-checks", *lifecycle_files])
-        main(
-            [
-                "scan",
-                "--extended-checks",
-                "--metrics",
-                str(warm_metrics),
-                *lifecycle_files,
-            ]
-        )
-        capsys.readouterr()
-        warm = json.loads(warm_metrics.read_text())["counters"]
+        cached = self.options(tmp_path / "cache")
+        render(lifecycle_files, cached)
+        warm = counters(render(lifecycle_files, cached, want_metrics=True))
         assert warm.get("artifact.threadcontext.builds", 0) == 0
         assert warm.get("cache.local.threadcontext.hits", 0) == len(
             lifecycle_files
         )
-
-
-class TestCacheSubcommand:
-    def run(self, argv, capsys):
-        code = main(argv)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    def populate(self, tmp_path, capsys):
-        apk, _ = single_request_app(RequestSpec())
-        path = tmp_path / "app.apkt"
-        save_apk(apk, path)
-        main(["scan", str(path)])
-        capsys.readouterr()
-
-    def test_stats_and_clear(self, tmp_path, capsys):
-        self.populate(tmp_path, capsys)
-        code, out, _ = self.run(["cache", "stats"], capsys)
-        assert code == 0 and "entries for 1 app(s)" in out
-        # Per-kind breakdown: every persisted kind gets its own row with
-        # an entry count and a size, so cache growth is attributable.
-        for kind in ("callgraph", "summaries", "requests", "retry-loops"):
-            assert any(
-                line.split()[0] == kind and len(line.split()) == 3
-                for line in out.splitlines()
-            ), f"no per-kind row for {kind}:\n{out}"
-        code, out, _ = self.run(["cache", "clear"], capsys)
-        assert code == 0 and out.startswith("removed ")
-        code, out, _ = self.run(["cache", "stats"], capsys)
-        assert "0 entries" in out
-
-    def test_gc_spares_fresh_entries_by_default(self, tmp_path, capsys):
-        self.populate(tmp_path, capsys)
-        code, out, _ = self.run(["cache", "gc", "--max-size", "0"], capsys)
-        assert code == 0 and out.startswith("removed 0 ")
-        _code, out, _ = self.run(["cache", "stats"], capsys)
-        assert "0 entries" not in out  # just-written entries survive
-
-    def test_gc_min_age_zero_collects_everything(self, tmp_path, capsys):
-        self.populate(tmp_path, capsys)
-        code, out, _ = self.run(
-            ["cache", "gc", "--max-size", "0", "--min-age", "0"], capsys
-        )
-        assert code == 0 and "freed" in out
-        _code, out, _ = self.run(["cache", "stats"], capsys)
-        assert "0 entries" in out
-
-    def test_gc_rejects_bad_size(self, capsys):
-        code, _out, err = self.run(["cache", "gc", "--max-size", "lots"], capsys)
-        assert code == 2 and "unparsable size" in err
-
-    def test_explicit_cache_dir_flag(self, tmp_path, capsys):
-        other = tmp_path / "elsewhere"
-        code, out, _ = self.run(["cache", "stats", "--cache-dir", str(other)], capsys)
-        assert code == 0 and str(other) in out

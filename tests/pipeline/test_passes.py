@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import NChecker, NCheckerOptions
 from repro.corpus.snippets import RequestSpec
-from repro.pipeline import build_plan, order_passes, resolve_reads
+from repro.obs import use_metrics
+from repro.pipeline import ARTIFACTS, order_passes, resolve_reads
 from repro.pipeline.passes import ScheduledPass
 
 from tests.conftest import single_request_app
@@ -95,26 +96,29 @@ class TestSkippedArtifactsNotBuilt:
     def scan_counters(self, **kwargs):
         apk, _ = single_request_app(RequestSpec(library="basichttp"))
         checker = NChecker(options=NCheckerOptions(**kwargs))
-        session = checker.session_for(apk)
-        session.scan()
-        return session.store.counters
+        with use_metrics() as registry:
+            checker.session_for(apk).scan()
+        return {
+            kind: registry.counter_value(f"artifact.{kind}.builds")
+            for kind in ARTIFACTS
+        }
 
     def test_default_scan_builds_retry_loops(self):
-        counters = self.scan_counters()
-        assert counters.builds_of("retry-loops") == 1
-        assert counters.builds_of("icc-model") == 0
+        builds = self.scan_counters()
+        assert builds["retry-loops"] == 1
+        assert builds["icc-model"] == 0
 
     def test_disabling_checks_skips_artifacts_only_they_need(self):
-        counters = self.scan_counters(enabled_checks=frozenset({"connectivity"}))
-        assert counters.builds_of("retry-loops") == 0
-        assert counters.builds_of("icc-model") == 0
+        builds = self.scan_counters(enabled_checks=frozenset({"connectivity"}))
+        assert builds["retry-loops"] == 0
+        assert builds["icc-model"] == 0
         # Shared artifacts are still built exactly once.
-        assert counters.builds_of("requests") == 1
-        assert counters.builds_of("callgraph") == 1
+        assert builds["requests"] == 1
+        assert builds["callgraph"] == 1
 
     def test_summary_ablation_never_builds_the_engine(self):
-        counters = self.scan_counters(summary_based=False)
-        assert counters.builds_of("summaries") == 0
+        builds = self.scan_counters(summary_based=False)
+        assert builds["summaries"] == 0
 
     def test_scan_results_unchanged_by_pipeline_for_enabled_kinds(self):
         apk, _ = single_request_app(RequestSpec(library="basichttp"))

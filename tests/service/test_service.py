@@ -30,13 +30,10 @@ from .conftest import (
 
 
 @pytest.fixture(scope="module")
-def daemon(tmp_path_factory):
-    """One warm daemon for the lifecycle tests: a single worker process
-    (so resubmissions land on the same warm session) plus a cache root."""
-    root = tmp_path_factory.mktemp("service-cache")
-    handle = start_in_thread(
-        ServiceConfig(port=0, workers=1, cache_dir=str(root))
-    )
+def daemon():
+    """One warm daemon for the lifecycle tests: a single worker process,
+    so resubmissions land on the same warm session."""
+    handle = start_in_thread(ServiceConfig(port=0, workers=1))
     yield handle
     handle.stop()
 
@@ -95,7 +92,6 @@ class TestScanLifecycle:
         health = get_json(daemon.base_url + "/healthz")
         assert health["status"] == "ok"
         assert health["workers"] == 1
-        assert health["cache"] is True
         assert set(health["jobs"]) == {"queued", "running", "done", "failed"}
 
 
@@ -158,8 +154,8 @@ class TestBadRequests:
         assert http("GET", daemon.base_url + "/v2/nope")[0] == 404
 
     def test_clients_cannot_write_the_workers_cache(self, daemon):
-        """Cache entries are unpickled by the workers, so no route may
-        store client bytes under the cache root."""
+        """No route accepts client bytes as cache entries: a cache entry
+        is a pickle, and workers keep no disk cache to put one in."""
         path = "/v1/cache/" + "a" * 40 + "/callgraph/" + "0" * 32
         status, _, _ = http("PUT", daemon.base_url + path, b"NCKC payload")
         assert status == 404
@@ -284,10 +280,8 @@ class TestAdmissionControl:
 
 
 class TestMetricsMerge:
-    def test_metrics_merge_scan_snapshots_across_the_pool(self, tmp_path):
-        handle = start_in_thread(
-            ServiceConfig(port=0, workers=2, cache_dir=str(tmp_path / "c"))
-        )
+    def test_metrics_merge_scan_snapshots_across_the_pool(self):
+        handle = start_in_thread(ServiceConfig(port=0, workers=2))
         try:
             ids = []
             for package in ("com.pool.one", "com.pool.two"):
@@ -346,11 +340,11 @@ class TestEditedResubmission:
         edited = tmp_path / "uploader.apkt"
         edited.write_text(original.replace(old, new))
         assert edited.read_text() != original
-        main(["scan", "--json", "--no-disk-cache", str(edited)])
+        main(["scan", "--json", str(edited)])
         cli_bytes = capsys.readouterr().out.encode("utf-8")
 
         handle = start_in_thread(ServiceConfig(
-            port=0, cache_dir=str(tmp_path / "served"),
+            port=0,
             executor_factory=lambda workers: InlineExecutor(),
         ))
         try:

@@ -74,15 +74,12 @@ class TestScan:
 
 
 class TestStartupImports:
-    def test_scan_never_imports_the_http_client_stack(
-        self, buggy_app_file, tmp_path
-    ):
-        """A default ``scan --json`` (cache on) loads no network client
+    def test_scan_never_imports_the_http_client_stack(self, buggy_app_file):
+        """A default ``scan --json`` loads no network client
         modules: they cost startup on every run and nothing in a scan
         needs them."""
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-        env["NCHECKER_CACHE_DIR"] = str(tmp_path / "cache")
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "repro.cli",
              "scan", "--json", str(buggy_app_file)],
@@ -97,6 +94,59 @@ class TestStartupImports:
         assert "repro.pipeline.cachestore" in imported
         assert "urllib.request" not in imported
         assert "http.client" not in imported
+
+
+class TestNoDiskCache:
+    """No command reads or writes a persistent cache, whatever the
+    environment names: neither the old ``$NCHECKER_CACHE_DIR`` nor the
+    conventional ``$XDG_CACHE_HOME`` / ``~/.cache`` locations."""
+
+    @pytest.fixture()
+    def cache_roots(self, tmp_path, monkeypatch):
+        roots = {
+            name: tmp_path / name
+            for name in ("HOME", "XDG_CACHE_HOME", "NCHECKER_CACHE_DIR")
+        }
+        for name, root in roots.items():
+            root.mkdir()
+            monkeypatch.setenv(name, str(root))
+        return roots
+
+    def written(self, roots) -> list:
+        return sorted(p for root in roots.values() for p in root.rglob("*"))
+
+    def test_scan_and_patch_write_nothing(
+        self, buggy_app_file, tmp_path, cache_roots
+    ):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        for argv in (
+            ["scan", str(buggy_app_file)],
+            ["scan", "--json", str(buggy_app_file)],
+            ["patch", str(buggy_app_file), "-o", str(tmp_path / "fixed.apkt")],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+        assert (tmp_path / "fixed.apkt").exists()
+        assert self.written(cache_roots) == []
+
+    def test_serve_workers_get_no_cache_dir(self, cache_roots, monkeypatch):
+        import repro.service
+        from repro.service import ScanService
+
+        configs = []
+
+        async def record(config):
+            configs.append(config)
+
+        monkeypatch.setattr(repro.service, "serve", record)
+        assert main(["serve", "--port", "0"]) == 0
+        (config,) = configs
+        assert ScanService(config).worker_options().cache_dir is None
+        assert self.written(cache_roots) == []
 
 
 class TestErrorHandling:

@@ -145,7 +145,7 @@ class TestCliDoc:
 
     def test_readme_points_at_the_new_docs(self):
         readme = (ROOT / "README.md").read_text()
-        for page in ("docs/CLI.md", "docs/CACHING.md", "docs/INDEX.md"):
+        for page in ("docs/CLI.md", "docs/ARCHITECTURE.md", "docs/INDEX.md"):
             assert page in readme
 
     def test_index_links_every_doc_page(self):
