@@ -27,7 +27,7 @@ from .reachability import (
     chains_to_methods,
     entries_reaching,
 )
-from .resolve import MethodAnalysisCache, collect_field_types, origin_classes
+from .resolve import collect_field_types, origin_classes
 
 __all__ = [
     "BroadcastSite",
@@ -42,7 +42,6 @@ __all__ = [
     "ICCModel",
     "LaunchSite",
     "build_icc_model",
-    "MethodAnalysisCache",
     "MethodKey",
     "chains_to_method",
     "chains_to_methods",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..app.apk import APK
 from ..app.components import (
@@ -34,7 +34,10 @@ from ..ir.method import IRMethod
 from ..ir.values import InvokeExpr, Local
 from ..libmodels.annotations import LibraryRegistry
 from .entrypoints import EntryPoint, MethodKey, discover_entry_points, method_key
-from .resolve import MethodAnalysisCache, collect_field_types, origin_classes
+from .resolve import collect_field_types, origin_classes
+
+if TYPE_CHECKING:
+    from ..pipeline.artifacts import ArtifactStore
 
 #: Edge kinds, for diagnostics and ablation.
 EDGE_DIRECT = "direct"
@@ -65,12 +68,12 @@ class CallGraph:
     def __init__(
         self,
         apk: APK,
-        registry: Optional[LibraryRegistry] = None,
-        cache: Optional[MethodAnalysisCache] = None,
+        registry: Optional[LibraryRegistry],
+        cache: "ArtifactStore",
     ) -> None:
         self.apk = apk
         self.registry = registry
-        self.cache = cache or MethodAnalysisCache()
+        self.cache = cache
         self.methods: dict[MethodKey, IRMethod] = {}
         self.out_edges: dict[MethodKey, list[CallEdge]] = {}
         self.in_edges: dict[MethodKey, list[CallEdge]] = {}

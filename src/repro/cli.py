@@ -195,7 +195,7 @@ def _write_scan_telemetry(args: argparse.Namespace, payloads, options) -> int:
 
 
 def _cmd_checks(args: argparse.Namespace) -> int:
-    """List every registered check: pipeline name, whether the current
+    """List every registered check in run order: name, whether the current
     flags enable it, and the store artifacts it reads."""
     from .core.checks import check_catalog
 
@@ -500,11 +500,11 @@ def _load_or_die(path: str):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the scan-as-a-service daemon (``docs/SERVICE.md``) in the
-    foreground until interrupted."""
+    foreground until SIGTERM or SIGINT."""
     import asyncio
 
-    from .pipeline.cachestore import parse_size
     from .service import ServiceConfig, serve
+    from .service.http import parse_size
 
     try:
         max_body = parse_size(args.max_body)

@@ -2,11 +2,11 @@
 
 ``NChecker.scan(apk)`` runs the full pipeline — build the call graph,
 extract network requests with their contexts, identify customized retry
-loops, and run the four analyses of §4.4 — as a **pass pipeline** over a
-per-APK artifact store (see :mod:`repro.pipeline`): each enabled check
-declares the artifacts it reads, the scheduler orders the passes and
-builds only the artifacts some enabled pass needs, and repeat scans of
-an unchanged app reuse the whole store.  The result object
+loops, and run the four analyses of §4.4 — over a per-APK artifact
+store (see :mod:`repro.pipeline`): each enabled check declares the
+artifacts it reads, the scan builds only those and runs the checks in
+catalog order, and repeat scans of an unchanged app reuse the whole
+store.  The result object
 carries the findings plus the per-request facts the evaluation harness
 aggregates into the paper's tables and CDFs.
 """
@@ -28,7 +28,6 @@ from .requests import NetworkRequest, RequestLocation
 from .retry_loops import RetryLoop
 
 if TYPE_CHECKING:
-    from ..pipeline.passes import ScanPlan
     from ..pipeline.scan import ScanSession
 
 
@@ -217,7 +216,3 @@ class NChecker:
 
         return ScanSession(apk, self.registry, self.options)
 
-    def plan_for(self, apk: APK) -> "ScanPlan":
-        """The scan plan (ordered passes, needed/skipped artifacts) the
-        current options produce for ``apk``."""
-        return self.session_for(apk).plan()

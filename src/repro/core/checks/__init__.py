@@ -15,14 +15,16 @@ from .ui_thread_network import UiThreadNetworkCheck
 
 
 def check_catalog(options, icc_model=None) -> list[Check]:
-    """One fresh instance of every registered check, in pipeline order —
-    the source of truth for ``nchecker checks`` and for the scan
-    session's passes.  ``options`` feeds the knobs a check's constructor
-    or :meth:`~Check.reads` consults (summary mode, guard awareness);
-    ``icc_model`` is the inter-component model the connectivity and
-    notification checks consult when the session built one.  Whether a
-    check actually *runs* is decided by ``options.enabled_checks``, which
-    the caller compares names against.
+    """One fresh instance of every registered check, in run order — the
+    source of truth for ``nchecker checks`` and for the scan session,
+    which runs the enabled checks in exactly this order (the
+    retry-parameter check consumes the config check's per-request info,
+    so it is listed after it).  ``options`` feeds the knobs a check's
+    constructor or :meth:`~Check.reads` consults (summary mode, guard
+    awareness); ``icc_model`` is the inter-component model the
+    connectivity and notification checks consult when the session built
+    one.  Whether a check actually *runs* is decided by
+    ``options.enabled_checks``, which the caller compares names against.
     """
     config_check = ConfigAPICheck()
     return [

@@ -12,21 +12,17 @@ from ..requests import AnalysisContext, NetworkRequest
 
 
 class Check(Protocol):
-    """One NChecker analysis pass in the pipeline.
+    """One NChecker analysis in a scan.
 
-    Each check declares the store artifacts it reads (by name, resolved
-    to typed keys by :mod:`repro.pipeline.passes`) so the scheduler can
-    skip building artifacts no enabled check needs, and the passes whose
-    in-scan products it consumes (``after``), so the pipeline orders
-    them correctly.
+    Each check declares the store artifacts it reads (by name, keys of
+    :data:`repro.pipeline.artifacts.ARTIFACTS`) so a scan skips building
+    artifacts no enabled check needs.
     """
 
     name: str
-    #: Pass names that must run earlier in the same scan.
-    after: tuple[str, ...]
 
     def reads(self, options) -> tuple[str, ...]:
-        """Artifact names this pass reads under ``options``."""
+        """Artifact names this check reads under ``options``."""
         ...
 
     def run(

@@ -42,7 +42,6 @@ EXIT_LIFECYCLE_METHODS: dict[ComponentKind, tuple[str, ...]] = {
 
 class CallbackLeakCheck:
     name = "callback-leak"
-    after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
         return ("callgraph",)

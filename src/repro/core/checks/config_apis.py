@@ -67,7 +67,6 @@ class RequestConfigInfo:
 
 class ConfigAPICheck:
     name = "config-apis"
-    after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
         names = ["requests", "callgraph"]

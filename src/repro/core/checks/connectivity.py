@@ -35,7 +35,6 @@ HelperIndex = dict[tuple[str, int], frozenset[str]]
 
 class ConnectivityCheck:
     name = "connectivity"
-    after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
         names = ["requests"]

@@ -52,7 +52,6 @@ class NotificationInfo:
 
 class NotificationCheck:
     name = "failure-notification"
-    after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
         names = ["requests", "callgraph"]

@@ -29,7 +29,6 @@ from .base import methods_invoking, request_frames
 
 class OfflineCacheCheck:
     name = "offline-cache"
-    after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
         names = ["requests", "callgraph"]

@@ -37,7 +37,6 @@ from ..requests import AnalysisContext, NetworkRequest
 
 class ResponseCheck:
     name = "invalid-response"
-    after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
         names = ["requests", "callgraph"]

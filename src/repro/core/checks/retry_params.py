@@ -28,10 +28,9 @@ from .config_apis import ConfigAPICheck, RequestConfigInfo
 
 
 class RetryParameterCheck:
+    #: Consumes the config check's per-request info, so
+    #: :func:`~repro.core.checks.check_catalog` lists it after that check.
     name = "retry-parameters"
-    #: Consumes the config check's per-request info, so it must run later
-    #: in the same pipeline (when both are enabled).
-    after: tuple[str, ...] = ("config-apis",)
 
     def reads(self, options) -> tuple[str, ...]:
         names = ["requests"]

@@ -22,7 +22,6 @@ from ..requests import AnalysisContext, NetworkRequest
 
 class UiThreadNetworkCheck:
     name = "ui-thread-network"
-    after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
         return ("requests", "callgraph", "threadcontext")

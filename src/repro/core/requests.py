@@ -21,7 +21,7 @@ from ..app.apk import APK
 from ..callgraph.cha import CallGraph
 from ..callgraph.entrypoints import EntryPoint, MethodKey, method_key
 from ..callgraph.reachability import CallChain, chains_to_methods
-from ..callgraph.resolve import MethodAnalysisCache, origin_classes
+from ..callgraph.resolve import origin_classes
 from ..dataflow.taint import trace_origins
 from ..ir.method import IRMethod
 from ..ir.statements import AssignStmt
@@ -37,6 +37,7 @@ from ..libmodels.volley import VOLLEY_METHOD_CODES
 if TYPE_CHECKING:
     from ..dataflow.summaries import SummaryEngine
     from ..dataflow.threadcontext import ThreadContextAnalysis
+    from ..pipeline.artifacts import ArtifactStore
     from .retry_loops import RetryLoop
 
 #: A stable request identity: the enclosing method plus the statement
@@ -56,12 +57,12 @@ _APACHE_REQUEST_CLASSES: dict[str, HttpMethod] = {
 @dataclass
 class AnalysisContext:
     """Shared state for one app scan: the APK, annotations, call graph,
-    and the per-method analysis cache."""
+    and the artifact store that caches per-method analyses."""
 
     apk: APK
     registry: LibraryRegistry
     callgraph: CallGraph
-    cache: MethodAnalysisCache
+    cache: "ArtifactStore"
     #: Customized retry loops (§4.5), populated by the orchestrator so the
     #: config-API check can credit hand-rolled retry logic.
     retry_loops: list["RetryLoop"] = field(default_factory=list)
@@ -69,15 +70,9 @@ class AnalysisContext:
     #: ``None`` runs the checks on their legacy horizon-limited paths.
     summaries: Optional["SummaryEngine"] = None
     #: Per-method thread contexts (`repro.dataflow.threadcontext`),
-    #: injected by the scan session only when an enabled pass reads the
+    #: injected by the scan session only when an enabled check reads the
     #: ``threadcontext`` artifact.
     threadcontext: Optional["ThreadContextAnalysis"] = None
-
-    @classmethod
-    def build(cls, apk: APK, registry: LibraryRegistry) -> "AnalysisContext":
-        cache = MethodAnalysisCache()
-        graph = CallGraph(apk, registry, cache)
-        return cls(apk, registry, graph, cache)
 
 
 @dataclass

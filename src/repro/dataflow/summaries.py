@@ -63,7 +63,7 @@ from .taint import ForwardTaint
 if TYPE_CHECKING:
     from ..callgraph.cha import CallGraph
     from ..callgraph.entrypoints import MethodKey
-    from ..callgraph.resolve import MethodAnalysisCache
+    from ..pipeline.artifacts import ArtifactStore
 
 #: Parameter position denoting the receiver (``this``).
 RECEIVER: int = -1
@@ -127,25 +127,13 @@ def _is_broadcast_invoke(invoke: InvokeExpr) -> bool:
     return invoke.sig.name in BROADCAST_METHODS
 
 
-#: The transitive boolean facts the engine serves: fact name →
-#: (call-site predicate, propagate over all edge kinds?).  Notification
-#: facts propagate over direct edges only — they mirror the legacy callee
-#: descent, which resolved callees by signature, not through async edges.
-BOOL_FACT_SPECS: dict[str, tuple[Callable[[InvokeExpr], bool], bool]] = {
-    "connectivity": (is_connectivity_check, True),
-    "ui": (is_ui_notification, False),
-    "handler": (is_handler_notification, False),
-    "broadcast": (_is_broadcast_invoke, False),
-}
-
-
 @dataclass
 class _BoolFactState:
     """Memoized state of one transitive boolean fact.
 
     Holds only data (no predicate callables) so a cached engine stays
     picklable for the persistent artifact cache; accessors pass the
-    predicate with every query (:data:`BOOL_FACT_SPECS`).
+    predicate with every query.
     """
 
     all_edge_kinds: bool
@@ -172,7 +160,7 @@ class SummaryEngine:
         self,
         graph: "CallGraph",
         registry: LibraryRegistry,
-        cache: "MethodAnalysisCache",
+        cache: "ArtifactStore",
     ) -> None:
         # Deferred: dataflow <-> callgraph would otherwise cycle at import.
         from ..callgraph.cha import EDGE_DIRECT
@@ -236,19 +224,14 @@ class SummaryEngine:
             e.callee for e in self.graph.callees(key) if e.kind == edge_direct
         ]
 
-    def _cone_indices(
-        self, state: _BoolFactState, roots: Iterable["MethodKey"]
-    ) -> set[int]:
-        """SCC indices the given roots transitively depend on (through
-        edges of the fact's kind), excluding already-evaluated SCCs."""
+    def _cone_indices(self, state: _BoolFactState, root: "MethodKey") -> set[int]:
+        """SCC indices ``root`` transitively depends on (through edges of
+        the fact's kind), excluding already-evaluated SCCs."""
         sccs, position = self._ensure_scc_order()
         evaluated = state.evaluated_sccs
         needed: set[int] = set()
-        stack = [
-            idx
-            for idx in (position.get(root) for root in roots)
-            if idx is not None and idx not in evaluated
-        ]
+        idx = position.get(root)
+        stack = [idx] if idx is not None and idx not in evaluated else []
         while stack:
             idx = stack.pop()
             if idx in needed:
@@ -345,31 +328,8 @@ class SummaryEngine:
             self._resolve_full(state, predicate)
         else:
             # Demand-driven: evaluate only this key's callee cone.
-            self._resolve_sccs(state, predicate, self._cone_indices(state, (key,)))
+            self._resolve_sccs(state, predicate, self._cone_indices(state, key))
         return state.resolved.get(key, False)
-
-    def prewarm_bool_facts(
-        self,
-        demands: Iterable[tuple[str, Optional[Iterable["MethodKey"]]]],
-    ) -> None:
-        """Evaluate the fact cones the planned passes will query.
-
-        ``demands`` pairs a fact name from :data:`BOOL_FACT_SPECS` with
-        the methods whose facts will be demanded (``None`` = whole app,
-        for facts served as whole-app views).  Queries the prewarm did not
-        cover simply fall back to lazy evaluation.
-        """
-        for name, roots in demands:
-            predicate, all_edge_kinds = BOOL_FACT_SPECS[name]
-            state = self._bool_state(name, all_edge_kinds)
-            if state.complete:
-                continue
-            if roots is None or self.eager:
-                self._resolve_full(state, predicate)
-            else:
-                self._resolve_sccs(
-                    state, predicate, self._cone_indices(state, roots)
-                )
 
     def performs_connectivity_check(self, key: "MethodKey") -> bool:
         return self._bool_fact("connectivity", is_connectivity_check, True, key)
@@ -382,6 +342,10 @@ class SummaryEngine:
         state = self._bool_state("connectivity", True)
         self._resolve_full(state, is_connectivity_check)
         return {k for k, v in state.resolved.items() if v}
+
+    # Notification facts propagate over direct edges only — they mirror
+    # the legacy callee descent, which resolved callees by signature, not
+    # through async edges.
 
     def notifies_ui(self, key: "MethodKey") -> bool:
         return self._bool_fact("ui", is_ui_notification, False, key)

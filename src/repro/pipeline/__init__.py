@@ -1,12 +1,11 @@
-"""Pass-pipeline architecture: artifact store, scheduled passes, scan
-sessions, batch scanning, the persistent cache.
+"""Pipeline architecture: artifact store, scan sessions, batch scanning,
+the persistent cache.
 
 * :mod:`repro.pipeline.artifacts` — the typed per-APK artifact store
   with build-on-demand and dependency-ordered builds;
-* :mod:`repro.pipeline.passes` — pass ordering and scan planning from
-  the checks' declared artifact reads;
-* :mod:`repro.pipeline.scan` — scan sessions (one store per APK) and
-  the session cache behind ``NChecker``;
+* :mod:`repro.pipeline.scan` — scan sessions (one store per APK, the
+  enabled checks run in catalog order) and the session cache behind
+  ``NChecker``;
 * :mod:`repro.pipeline.batch` — the scan unit the CLI and the daemon
   share, and its process fan-out (``nchecker scan --jobs N``) with
   deterministic, input-order-stable output;
@@ -28,7 +27,6 @@ from .artifacts import (
     ArtifactStore,
 )
 from .cachestore import CacheStore, LocalDirBackend
-from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_reads
 from .scan import ScanSession, SessionCache
 
 __all__ = [
@@ -44,11 +42,6 @@ __all__ = [
     "REQUESTS",
     "RETRY_LOOPS",
     "SUMMARIES",
-    "ScanPlan",
     "ScanSession",
-    "ScheduledPass",
     "SessionCache",
-    "build_plan",
-    "order_passes",
-    "resolve_reads",
 ]

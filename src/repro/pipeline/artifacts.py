@@ -10,11 +10,10 @@ declared dependencies) and counts ``artifact.<kind>.builds`` /
 never sees its app change: the patch loop opens a new session (and so
 a new store) for every round.
 
-The store is duck-type compatible with
-:class:`repro.callgraph.resolve.MethodAnalysisCache` (``cfg(method)`` /
-``defuse(method)``), so the call graph, the summary engine, and every
-check share it as the context cache.  Unlike the legacy cache it keys
-method artifacts by :data:`MethodKey`, not ``id(method)``.
+The store is also the one per-method cache (``cfg(method)`` /
+``defuse(method)`` / ``constants(method)``, keyed by :data:`MethodKey`):
+the call graph, the ICC model, the summary engine, and every check
+share it as the context cache.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class ArtifactKey:
     ``scope`` is ``"app"`` (one value per APK) or ``"method"`` (one value
     per method, accessed through the cache protocol).  ``deps`` names the
     app-scoped artifacts that must exist before this one can build; the
-    store resolves them recursively, which is what lets a scan plan state
+    store resolves them recursively, which is what lets a check declare
     "this check needs summaries" and get the call graph for free.
     """
 
@@ -174,7 +173,7 @@ class ArtifactStore:
         """The shared :class:`AnalysisContext` over this store.  Building
         it forces the call graph (its one mandatory field); ``summaries``
         and ``retry_loops`` are injected by the scan session according to
-        the plan."""
+        the enabled checks' reads."""
         if self._context is None:
             from ..core.requests import AnalysisContext
 
@@ -217,7 +216,7 @@ class ArtifactStore:
 
         return ThreadContextAnalysis(self.get(CALLGRAPH), self.registry)
 
-    # -- method-scoped artifacts (MethodAnalysisCache protocol) --------------
+    # -- method-scoped artifacts --------------------------------------------
 
     def cfg(self, method) -> "CFGGraph":
         key = method_key(method)

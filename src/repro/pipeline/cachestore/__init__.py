@@ -11,8 +11,7 @@ split along its concerns:
 * :mod:`~repro.pipeline.cachestore.codec` — serialization: the
   persistent-id pickler rewiring live session objects, plus the
   magic/version/checksum header enforcing corruption-is-a-miss;
-* :mod:`~repro.pipeline.cachestore.backend` — entry keys and size
-  parsing;
+* :mod:`~repro.pipeline.cachestore.backend` — entry keys;
 * :mod:`~repro.pipeline.cachestore.local` — :class:`LocalDirBackend`,
   the on-disk blob store (format-compatible with pre-split caches).
 
@@ -20,7 +19,7 @@ split along its concerns:
 together for the scan session.
 """
 
-from .backend import EntryKey, parse_size
+from .backend import EntryKey
 from .codec import CacheMiss, decode_artifact, encode_artifact
 from .fingerprints import (
     CACHE_FORMAT_VERSION,
@@ -47,6 +46,5 @@ __all__ = [
     "entry_digest",
     "method_content_hash",
     "options_fingerprint",
-    "parse_size",
     "registry_fingerprint",
 ]

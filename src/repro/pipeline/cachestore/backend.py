@@ -1,4 +1,4 @@
-"""Cache entry addressing and size parsing.
+"""Cache entry addressing.
 
 A cache entry is an opaque blob under an :class:`EntryKey`.  The blob
 store (:class:`~repro.pipeline.cachestore.local.LocalDirBackend`) never
@@ -18,8 +18,6 @@ in :mod:`.fingerprints`.  Its semantics (enforced by
   codec's magic/version/checksum header is what detects a damaged
   entry, and the caller then ``delete``\\ s it so the rebuilt
   artifact's ``put`` replaces it.
-
-:func:`parse_size` lives here for ``nchecker serve --max-body``.
 """
 
 from __future__ import annotations
@@ -46,24 +44,3 @@ class EntryKey:
         cache wrote)."""
         return f"{self.kind}-{self.digest}.bin"
 
-
-_SIZE_UNITS = {"B": 1, "K": 1 << 10, "M": 1 << 20, "G": 1 << 30, "T": 1 << 40}
-
-
-def parse_size(text: str) -> int:
-    """``"512M"`` / ``"1.5G"`` / ``"512m"`` / ``"4096"`` → bytes.
-
-    Accepts fractional values and case-insensitive ``K/M/G/T`` (and
-    ``B``) suffixes."""
-    text = text.strip()
-    multiplier = 1
-    if text and text[-1].upper() in _SIZE_UNITS:
-        multiplier = _SIZE_UNITS[text[-1].upper()]
-        text = text[:-1]
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"unparsable size: {text!r} (use e.g. 512M, 1.5G)")
-    if value < 0:
-        raise ValueError("size must be non-negative")
-    return int(value * multiplier)

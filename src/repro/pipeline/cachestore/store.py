@@ -25,8 +25,17 @@ from typing import TYPE_CHECKING, Optional
 
 from ...callgraph.entrypoints import method_key
 from ...obs import get_logger
-from ..artifacts import ArtifactStore, set_callgraph_gauges
-from ..passes import _APP_ARTIFACT_ORDER
+from ..artifacts import (
+    CALLGRAPH,
+    ICC_MODEL,
+    REQUESTS,
+    RETRY_LOOPS,
+    SUMMARIES,
+    THREADCONTEXT,
+    ArtifactKey,
+    ArtifactStore,
+    set_callgraph_gauges,
+)
 from .backend import EntryKey
 from .codec import CacheMiss, decode_artifact, encode_artifact
 from .fingerprints import entry_digest
@@ -36,6 +45,16 @@ if TYPE_CHECKING:
     from ...core.checker import NCheckerOptions
 
 log = get_logger("cachestore")
+
+#: App-scoped artifacts in load/store order (dependencies first).
+_APP_ARTIFACT_ORDER: tuple[ArtifactKey, ...] = (
+    CALLGRAPH,
+    REQUESTS,
+    SUMMARIES,
+    RETRY_LOOPS,
+    ICC_MODEL,
+    THREADCONTEXT,
+)
 
 
 class CacheStore:

@@ -1,12 +1,12 @@
-"""Scan sessions: the pass pipeline executed over one artifact store.
+"""Scan sessions: the enabled checks run over one artifact store.
 
 A :class:`ScanSession` owns the :class:`~repro.pipeline.artifacts.
-ArtifactStore` of one APK and runs the enabled checks as scheduled
-passes: the plan (from :mod:`repro.pipeline.passes`) says which passes
-run in which order and which app artifacts they need; the session builds
-exactly those, injects them into the shared ``AnalysisContext``, runs
-the passes, and assembles the :class:`~repro.core.checker.ScanResult`
-exactly as the hand-sequenced orchestrator did.
+ArtifactStore` of one APK.  A scan builds the app artifacts the enabled
+checks declare in ``reads(options)`` (and the requests every check and
+the result need), injects them into the shared ``AnalysisContext``, runs
+the checks in :func:`~repro.core.checks.check_catalog` order, and
+assembles the :class:`~repro.core.checker.ScanResult`.  The summary
+engine answers each check's queries on demand.
 
 A session's app never changes under it: the patch loop opens a fresh
 session for every round.  :class:`SessionCache` gives ``NChecker`` its
@@ -16,7 +16,7 @@ app's content fingerprint matches, LRU-bounded for corpus sweeps).
 Sessions are also where the library's **persistent cross-run cache**
 (:mod:`repro.pipeline.cachestore`) plugs in, when a library caller sets
 ``NCheckerOptions.cache_dir`` (no CLI command or daemon worker does):
-before the first pass runs, every valid cached artifact for the app's
+before the first check runs, every valid cached artifact for the app's
 content fingerprint is adopted into the store (zero builds on a warm
 run), and after each scan the artifacts the run had to build are written
 back to the cache directory.  Output is byte-identical with the cache
@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..obs import metrics, span
 from .artifacts import (
+    ARTIFACTS,
     ICC_MODEL,
     REQUESTS,
     RETRY_LOOPS,
@@ -38,7 +39,6 @@ from .artifacts import (
     THREADCONTEXT,
     ArtifactStore,
 )
-from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_reads
 
 if TYPE_CHECKING:
     from ..app.apk import APK
@@ -47,7 +47,7 @@ if TYPE_CHECKING:
 
 
 class ScanSession:
-    """One APK's pass pipeline over its artifact store."""
+    """One APK's checks over its artifact store."""
 
     def __init__(
         self,
@@ -69,12 +69,13 @@ class ScanSession:
         self._cache_synced: set[str] = set()
         self._app_fp: Optional[str] = None
 
-    # -- pass construction ---------------------------------------------------
+    # -- check construction --------------------------------------------------
 
-    def _build_passes(self):
-        """Fresh check instances for one scan (their per-request info maps
-        are part of the scan's result), as (pass, enabled, instance)
-        bookkeeping the result assembly needs."""
+    def _build_checks(self):
+        """Fresh instances of the enabled checks for one scan, in catalog
+        order (their per-request info maps are part of the scan's
+        result), plus the config and notification checks whose info the
+        result assembly needs."""
         from ..core.checks import check_catalog
 
         opts = self.options
@@ -85,35 +86,22 @@ class ScanSession:
         ):
             icc_model = self.store.get(ICC_MODEL)
 
-        checks = check_catalog(opts, icc_model=icc_model)
-        by_name = {check.name: check for check in checks}
-        config_check = by_name["config-apis"]
-        notification_check = by_name["failure-notification"]
-        scheduled = [
-            ScheduledPass(check, resolve_reads(check.reads(opts)))
-            for check in checks
-            if check.name in enabled
-        ]
+        catalog = check_catalog(opts, icc_model=icc_model)
+        by_name = {check.name: check for check in catalog}
+        checks = [check for check in catalog if check.name in enabled]
         if opts.check_network_switch:
             from ..core.checks.network_switch import NetworkSwitchCheck
 
-            switch = NetworkSwitchCheck()
-            scheduled.append(ScheduledPass(switch, resolve_reads(switch.reads(opts))))
-        return scheduled, config_check, notification_check
-
-    def plan(self) -> ScanPlan:
-        """The scan plan under the current options (no artifacts built,
-        except the ICC model when inter-component passes are enabled)."""
-        scheduled, _config, _notification = self._build_passes()
-        return build_plan(scheduled)
+            checks.append(NetworkSwitchCheck())
+        return checks, by_name["config-apis"], by_name["failure-notification"]
 
     # -- execution -----------------------------------------------------------
 
     def scan(self) -> "ScanResult":
-        """Run the pipeline: build planned artifacts, run passes in
-        dependency order, assemble the result.
+        """Build the artifacts the enabled checks read, run the checks in
+        catalog order, assemble the result.
 
-        Each pass runs inside a ``pass:<name>`` span and records its wall
+        Each check runs inside a ``pass:<name>`` span and records its wall
         time, findings emitted, and methods visited (the call-graph
         universe it analyses) into the active metrics registry.
         """
@@ -122,38 +110,36 @@ class ScanSession:
         from ..core.checker import ScanResult
         from ..core.findings import Finding
 
-        # Adopt persisted artifacts before pass construction: the ICC
-        # model is materialized inside _build_passes, so the preload must
+        # Adopt persisted artifacts before check construction: the ICC
+        # model is materialized inside _build_checks, so the preload must
         # already have happened for a warm run to stay build-free.
         self._preload_from_disk()
-        scheduled, config_check, notification_check = self._build_passes()
-        plan = build_plan(scheduled)
+        checks, config_check, notification_check = self._build_checks()
+        reads = {
+            ARTIFACTS[name] for check in checks for name in check.reads(self.options)
+        }
         store = self.store
         registry = metrics()
 
         with span("scan", package=self.apk.package):
             scan_start = time.perf_counter()
             ctx = store.context
-            ctx.summaries = store.get(SUMMARIES) if plan.builds(SUMMARIES) else None
+            ctx.summaries = store.get(SUMMARIES) if SUMMARIES in reads else None
+            if ctx.summaries is not None:
+                ctx.summaries.eager = self.options.eager_summaries
             ctx.threadcontext = (
-                store.get(THREADCONTEXT) if plan.builds(THREADCONTEXT) else None
+                store.get(THREADCONTEXT) if THREADCONTEXT in reads else None
             )
             requests = store.get(REQUESTS)
-            retry_loops = (
-                store.get(RETRY_LOOPS) if plan.builds(RETRY_LOOPS) else []
-            )
+            retry_loops = store.get(RETRY_LOOPS) if RETRY_LOOPS in reads else []
             ctx.retry_loops = retry_loops
-            if ctx.summaries is not None:
-                self._prewarm_summaries(
-                    ctx, scheduled, requests, notification_check
-                )
 
             findings: list[Finding] = []
-            for scheduled_pass in order_passes(scheduled):
-                name = scheduled_pass.name
+            for check in checks:
+                name = check.name
                 with span(f"pass:{name}", package=self.apk.package):
                     start = time.perf_counter()
-                    emitted = scheduled_pass.check.run(ctx, requests)
+                    emitted = check.run(ctx, requests)
                     registry.observe(
                         f"pass.{name}.wall_ms",
                         (time.perf_counter() - start) * 1000.0,
@@ -179,50 +165,6 @@ class ScanSession:
             config_info=dict(config_check.info_by_request),
             notification_info=dict(notification_check.info_by_request),
         )
-
-    def _prewarm_summaries(
-        self, ctx, scheduled, requests, notification_check
-    ) -> None:
-        """Evaluate the summary-fact cones the planned passes will query,
-        before the pass loop runs them.
-
-        The demands mirror the passes' actual queries: the connectivity
-        and offline-cache passes read the whole-app connectivity view,
-        and the failure-notification pass queries UI/handler (and, with
-        displayed broadcasts in the ICC model, broadcast) facts on the
-        error callbacks registered at request sites.  Queries the prewarm
-        did not anticipate fall back to lazy point evaluation inside the
-        engine.
-        """
-        from ..callgraph.cha import EDGE_LIB_CALLBACK
-
-        opts = self.options
-        engine = ctx.summaries
-        engine.eager = opts.eager_summaries
-        planned = {scheduled_pass.name for scheduled_pass in scheduled}
-        demands: list = []
-        if planned & {"connectivity", "offline-cache"}:
-            demands.append(("connectivity", None))
-        if "failure-notification" in planned:
-            roots = sorted(
-                {
-                    edge.callee
-                    for request in requests
-                    for edge in ctx.callgraph.callees(request.key)
-                    if edge.stmt_index == request.stmt_index
-                    and edge.kind == EDGE_LIB_CALLBACK
-                }
-            )
-            if roots:
-                demands.append(("ui", roots))
-                demands.append(("handler", roots))
-                icc = notification_check.icc_model
-                if icc is not None and icc.broadcasts_displayed:
-                    demands.append(("broadcast", roots))
-        registry = metrics()
-        with span("summary-prewarm", package=self.apk.package):
-            with registry.timer("summaries.prewarm_ms"):
-                engine.prewarm_bool_facts(demands)
 
     # -- persistent cache ----------------------------------------------------
 

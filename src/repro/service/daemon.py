@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from typing import Callable, Optional
 from ..core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from ..obs import chrome_trace, empty_snapshot, get_logger, merge_snapshots
 from ..pipeline.batch import ScanTask
-from ..pipeline.cachestore import parse_size
 from .http import (
     HttpServer,
     ProtocolError,
@@ -36,6 +36,7 @@ from .http import (
     Response,
     error_response,
     json_response,
+    parse_size,
 )
 from .jobs import JobStore
 from .ratelimit import RateLimiter
@@ -339,14 +340,22 @@ class ScanService:
 
 
 async def serve(config: ServiceConfig) -> None:
-    """Run one daemon in the current event loop until cancelled (the
-    ``nchecker serve`` foreground path)."""
+    """Run one daemon in the current event loop until SIGTERM or SIGINT
+    (the ``nchecker serve`` foreground path).  Either signal requests a
+    stop, so the daemon closes its socket and shuts its worker pool down
+    before it exits."""
     service = ScanService(config)
-    await service.start()
+    loop = asyncio.get_running_loop()
+    stop_signals = (signal.SIGTERM, signal.SIGINT)
+    for signum in stop_signals:
+        loop.add_signal_handler(signum, service.request_stop)
     try:
+        await service.start()
         await service.run_until_stopped()
     finally:
         await service.close()
+        for signum in stop_signals:
+            loop.remove_signal_handler(signum)
 
 
 class ServiceHandle:

@@ -27,6 +27,29 @@ log = get_logger("service.http")
 #: Bound on the request line + headers block, generous for any client.
 MAX_HEADER_BYTES = 32 << 10
 
+_SIZE_UNITS = {"B": 1, "K": 1 << 10, "M": 1 << 20, "G": 1 << 30, "T": 1 << 40}
+
+
+def parse_size(text: str) -> int:
+    """``"512M"`` / ``"1.5G"`` / ``"512m"`` / ``"4096"`` → bytes (the
+    ``nchecker serve --max-body`` request-body limit).
+
+    Accepts fractional values and case-insensitive ``K/M/G/T`` (and
+    ``B``) suffixes."""
+    text = text.strip()
+    multiplier = 1
+    if text and text[-1].upper() in _SIZE_UNITS:
+        multiplier = _SIZE_UNITS[text[-1].upper()]
+        text = text[:-1]
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"unparsable size: {text!r} (use e.g. 512M, 1.5G)")
+    if value < 0:
+        raise ValueError("size must be non-negative")
+    return int(value * multiplier)
+
+
 REASONS = {
     200: "OK",
     201: "Created",

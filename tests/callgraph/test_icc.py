@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.callgraph.icc import build_icc_model
 from repro.core import DefectKind, NChecker, NCheckerOptions
 from repro.corpus import build_opensource_corpus, overall_accuracy, table9_confusions
 from repro.corpus.appbuilder import AppBuilder
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec, inject_request
 from repro.corpus.opensource import _add_error_display_activity, _add_launcher_with_check
+from repro.libmodels import default_registry
+from repro.pipeline import ICC_MODEL, ArtifactStore
+
+
+def icc_model(apk):
+    return ArtifactStore(apk, default_registry()).get(ICC_MODEL)
 
 
 def _fp_app():
@@ -45,12 +50,12 @@ def _broadcast_app():
 
 class TestModel:
     def test_launch_site_resolved(self):
-        model = build_icc_model(_fp_app())
+        model = icc_model(_fp_app())
         assert len(model.launches) == 1
         assert model.launches[0].target == "com.icc.fp.MainActivity"
 
     def test_broadcast_and_display_found(self):
-        model = build_icc_model(_broadcast_app())
+        model = icc_model(_broadcast_app())
         assert len(model.broadcasts) == 1
         assert model.ui_broadcast_receivers == {"com.icc.bcast.ErrorDisplayActivity"}
         assert model.broadcasts_displayed
@@ -69,7 +74,7 @@ class TestModel:
         )
         body.ret()
         activity.add(body)
-        model = build_icc_model(app.build())
+        model = icc_model(app.build())
         assert not model.broadcasts_displayed
 
     def test_app_without_icc_has_empty_model(self):
@@ -79,7 +84,7 @@ class TestModel:
         inject_request(app, body, RequestSpec(), user_initiated=True)
         body.ret()
         activity.add(body)
-        model = build_icc_model(app.build())
+        model = icc_model(app.build())
         assert model.launches == [] and model.broadcasts == []
 
 

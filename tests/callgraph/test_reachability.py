@@ -1,9 +1,10 @@
 """Call-chain extraction tests."""
 
 from repro.app import APK, Manifest
-from repro.callgraph import CallGraph, chains_to_method, entries_reaching
+from repro.callgraph import chains_to_method, entries_reaching
 from repro.ir import ClassBuilder, Local
 from repro.libmodels import default_registry
+from repro.pipeline import CALLGRAPH, ArtifactStore
 
 
 def _layered_app():
@@ -37,7 +38,7 @@ def _layered_app():
 
     manifest = Manifest("com.x", activities=["com.x.Main"], services=["com.x.Sync"])
     apk = APK(manifest, [main.build(), api.build(), svc.build()])
-    return CallGraph(apk, default_registry())
+    return ArtifactStore(apk, default_registry()).get(CALLGRAPH)
 
 
 class TestChains:
@@ -77,7 +78,7 @@ class TestChains:
         b.ret()
         main.add(b)
         apk = APK(Manifest("com.x", activities=["com.x.Main"]), [main.build()])
-        graph = CallGraph(apk, default_registry())
+        graph = ArtifactStore(apk, default_registry()).get(CALLGRAPH)
         assert chains_to_method(graph, ("com.x.Main", "orphan", 0)) == []
 
     def test_max_chains_respected(self):

@@ -4,12 +4,12 @@ each-in-edge-at-most-once visit bound its telemetry counter exposes."""
 
 from types import SimpleNamespace
 
-from repro.callgraph.cha import CallGraph
 from repro.corpus.appbuilder import AppBuilder
 from repro.core.checks.base import methods_invoking
 from repro.ir.values import Local
 from repro.libmodels import default_registry
 from repro.obs import use_metrics
+from repro.pipeline import CALLGRAPH, ArtifactStore
 
 
 def chain_app():
@@ -67,7 +67,7 @@ def naive_closure(graph, predicate):
 
 class TestWorklistClosure:
     def test_matches_naive_fixpoint(self):
-        graph = CallGraph(chain_app(), default_registry())
+        graph = ArtifactStore(chain_app(), default_registry()).get(CALLGRAPH)
         ctx = SimpleNamespace(callgraph=graph)
         got = methods_invoking(ctx, probed)
         assert got == naive_closure(graph, probed)
@@ -75,7 +75,7 @@ class TestWorklistClosure:
         assert got == {(cls, "stepB", 0), (cls, "stepA", 0), (cls, "onClick", 1)}
 
     def test_visits_each_member_in_edge_exactly_once(self):
-        graph = CallGraph(chain_app(), default_registry())
+        graph = ArtifactStore(chain_app(), default_registry()).get(CALLGRAPH)
         ctx = SimpleNamespace(callgraph=graph)
         with use_metrics() as registry:
             members = methods_invoking(ctx, probed)
@@ -90,7 +90,7 @@ class TestWorklistClosure:
         assert visits == in_edges
 
     def test_no_matches_means_no_edge_visits(self):
-        graph = CallGraph(chain_app(), default_registry())
+        graph = ArtifactStore(chain_app(), default_registry()).get(CALLGRAPH)
         ctx = SimpleNamespace(callgraph=graph)
         with use_metrics() as registry:
             assert methods_invoking(ctx, lambda inv: False) == set()

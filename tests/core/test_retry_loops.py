@@ -3,19 +3,20 @@
 import pytest
 
 from repro.core import NChecker
-from repro.core.requests import AnalysisContext, find_requests
+from repro.core.requests import find_requests
 from repro.core.retry_loops import identify_retry_loops
 from repro.corpus.appbuilder import AppBuilder
 from repro.corpus.snippets import Backoff, RequestSpec, RetryLoopShape, inject_request
 from repro.ir import Local
 from repro.libmodels import default_registry
+from repro.pipeline import ArtifactStore
 
 from tests.conftest import single_request_app
 
 
 def _loops_for(spec):
     apk, _ = single_request_app(spec)
-    ctx = AnalysisContext.build(apk, default_registry())
+    ctx = ArtifactStore(apk, default_registry()).context
     requests = find_requests(ctx)
     return identify_retry_loops(ctx, requests)
 
@@ -58,7 +59,7 @@ class TestNonRetryLoops:
         b.ret()
         activity.add(b)
         apk = app.build()
-        ctx = AnalysisContext.build(apk, default_registry())
+        ctx = ArtifactStore(apk, default_registry()).context
         loops = identify_retry_loops(ctx, find_requests(ctx))
         assert loops == []
 
@@ -82,7 +83,7 @@ class TestNonRetryLoops:
         b.ret()
         activity.add(b)
         apk = app.build()
-        ctx = AnalysisContext.build(apk, default_registry())
+        ctx = ArtifactStore(apk, default_registry()).context
         loops = identify_retry_loops(ctx, find_requests(ctx))
         assert loops == []
 
@@ -118,7 +119,7 @@ class TestNestedLoops:
         b.ret()
         activity.add(b)
         apk = app.build()
-        ctx = AnalysisContext.build(apk, default_registry())
+        ctx = ArtifactStore(apk, default_registry()).context
         loops = identify_retry_loops(ctx, find_requests(ctx))
         assert len(loops) == 1
         assert loops[0].kind == "catch-dependent"
@@ -173,7 +174,7 @@ class TestBackoffClassification:
         b.ret()
         activity.add(b)
         apk = app.build()
-        ctx = AnalysisContext.build(apk, default_registry())
+        ctx = ArtifactStore(apk, default_registry()).context
         loops = identify_retry_loops(ctx, find_requests(ctx))
         assert len(loops) == 1 and not loops[0].aggressive
 

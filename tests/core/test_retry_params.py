@@ -109,13 +109,14 @@ class TestOverRetryPost:
         assert result.count_of(DefectKind.OVER_RETRY_POST) == 1
 
     def test_urlconnection_post_via_setrequestmethod(self):
-        from repro.core.requests import AnalysisContext, find_requests
+        from repro.core.requests import find_requests
         from repro.libmodels import HttpMethod, default_registry
+        from repro.pipeline import ArtifactStore
 
         apk, _ = single_request_app(
             RequestSpec(library="httpurlconnection", http_post=True)
         )
-        ctx = AnalysisContext.build(apk, default_registry())
+        ctx = ArtifactStore(apk, default_registry()).context
         request = find_requests(ctx)[0]
         assert request.http_method is HttpMethod.POST
 

@@ -2,19 +2,19 @@
 
 from repro.core import NChecker
 from repro.core.defects import DefectKind
-from repro.core.requests import AnalysisContext
 from repro.corpus.appbuilder import AppBuilder
 from repro.dataflow.summaries import CONFIG_TOP, RECEIVER, SummaryEngine
 from repro.ir import Local
 from repro.libmodels import default_registry
 from repro.obs import use_metrics
+from repro.pipeline import ArtifactStore
 
 CLIENT = "com.turbomanage.httpclient.BasicHttpClient"
 
 
 def build_engine(apk):
     registry = default_registry()
-    ctx = AnalysisContext.build(apk, registry)
+    ctx = ArtifactStore(apk, registry).context
     return SummaryEngine(ctx.callgraph, registry, ctx.cache)
 
 

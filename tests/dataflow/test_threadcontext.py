@@ -13,7 +13,6 @@ from repro.callgraph.cha import (
     EDGE_DIRECT,
     EDGE_LIB_CALLBACK,
     EDGE_RUNNABLE,
-    CallGraph,
 )
 from repro.corpus.appbuilder import AppBuilder
 from repro.corpus.lifecycle import build_lifecycle_corpus
@@ -29,6 +28,7 @@ from repro.dataflow.threadcontext import (
 from repro.ir.values import Local
 from repro.libmodels import default_registry
 from repro.obs import use_metrics
+from repro.pipeline import CALLGRAPH, ArtifactStore
 
 CONTEXTS = st.sampled_from([UNKNOWN, MAIN, BACKGROUND, EITHER])
 ASYNC_EDGE_KINDS = st.sampled_from(
@@ -129,7 +129,8 @@ class TestLatticeLaws:
 
 def analyse(apk) -> ThreadContextAnalysis:
     registry = default_registry()
-    return ThreadContextAnalysis(CallGraph(apk, registry), registry)
+    graph = ArtifactStore(apk, registry).get(CALLGRAPH)
+    return ThreadContextAnalysis(graph, registry)
 
 
 def corpus_app(package: str):

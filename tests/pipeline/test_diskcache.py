@@ -31,7 +31,6 @@ from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
     app_content_fingerprint,
     fingerprints,
-    parse_size,
     registry_fingerprint,
 )
 
@@ -117,24 +116,6 @@ class TestFingerprints:
         before = registry_fingerprint(registry)
         monkeypatch.setattr(fingerprints, "LIBMODELS_VERSION", 9999)
         assert registry_fingerprint(registry) != before
-
-
-class TestSizes:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [("4096", 4096), ("1K", 1024), ("1.5M", 1536 * 1024),
-         ("2G", 2 << 30), (" 512m ", 512 << 20), ("0", 0),
-         ("1.5G", 3 << 29), ("512m", 512 << 20), ("0.5k", 512),
-         ("2.5t", int(2.5 * (1 << 40))), ("100B", 100), ("3.25", 3)],
-    )
-    def test_parse_size(self, text, expected):
-        assert parse_size(text) == expected
-
-    @pytest.mark.parametrize("bad", ["", "garbage", "-1", "1X5", "-2G",
-                                     "G", "1.2.3M"])
-    def test_parse_size_rejects(self, bad):
-        with pytest.raises(ValueError):
-            parse_size(bad)
 
 
 class TestWarmScan:

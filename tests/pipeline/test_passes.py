@@ -1,95 +1,48 @@
-"""Pass scheduling: declared reads, topological order, artifact skipping."""
+"""Scan sequencing: the enabled checks run in catalog order, and a scan
+builds only the artifacts they declare in ``reads(options)``."""
 
 import pytest
 
 from repro.core import NChecker, NCheckerOptions
+from repro.core import checks as check_registry
+from repro.core.checker import DEFAULT_CHECKS
 from repro.corpus.snippets import RequestSpec
 from repro.obs import use_metrics
-from repro.pipeline import ARTIFACTS, order_passes, resolve_reads
-from repro.pipeline.passes import ScheduledPass
+from repro.pipeline import ARTIFACTS
 
 from tests.conftest import single_request_app
 
+#: The app-scoped artifact kinds a scan may build.
+APP_KINDS = tuple(name for name, key in ARTIFACTS.items() if key.scope == "app")
+
 
 class FakeCheck:
-    def __init__(self, name, after=()):
-        self.name = name
-        self.after = tuple(after)
+    name = "fake"
 
     def reads(self, options):
-        return ("requests",)
+        return ("requests", "no-such-artifact")
 
     def run(self, ctx, requests):
         return []
 
 
-def sched(name, after=()):
-    return ScheduledPass(FakeCheck(name, after), reads=())
-
-
 class TestOrdering:
-    def test_after_constraint_respected(self):
-        passes = [sched("b", after=("a",)), sched("a")]
-        assert [p.name for p in order_passes(passes)] == ["a", "b"]
+    def test_catalog_lists_config_apis_before_retry_parameters(self):
+        names = [c.name for c in check_registry.check_catalog(NCheckerOptions())]
+        assert names.index("config-apis") < names.index("retry-parameters")
 
-    def test_stable_without_constraints(self):
-        passes = [sched("c"), sched("a"), sched("b")]
-        assert [p.name for p in order_passes(passes)] == ["c", "a", "b"]
-
-    def test_absent_dependency_ignored(self):
-        passes = [sched("b", after=("not-registered",)), sched("a")]
-        assert [p.name for p in order_passes(passes)] == ["b", "a"]
-
-    def test_cycle_raises(self):
-        passes = [sched("a", after=("b",)), sched("b", after=("a",))]
-        with pytest.raises(ValueError):
-            order_passes(passes)
-
-    def test_unknown_artifact_name_raises(self):
-        with pytest.raises(KeyError):
-            resolve_reads(("no-such-artifact",))
-
-
-class TestPlanning:
-    def plan(self, **kwargs):
+    def test_unknown_artifact_name_raises(self, monkeypatch):
+        catalog = check_registry.check_catalog
+        monkeypatch.setattr(
+            check_registry,
+            "check_catalog",
+            lambda options, icc_model=None: catalog(options, icc_model)
+            + [FakeCheck()],
+        )
         apk, _ = single_request_app(RequestSpec())
-        checker = NChecker(options=NCheckerOptions(**kwargs))
-        return checker.plan_for(apk)
-
-    def test_default_plan_skips_icc_model_only(self):
-        plan = self.plan()
-        assert plan.passes == (
-            "config-apis",
-            "connectivity",
-            "retry-parameters",
-            "failure-notification",
-            "invalid-response",
-        )
-        assert plan.skipped == ("icc-model", "threadcontext")
-
-    def test_retry_parameters_scheduled_after_config_apis(self):
-        plan = self.plan()
-        assert plan.passes.index("retry-parameters") > plan.passes.index(
-            "config-apis"
-        )
-
-    def test_connectivity_only_plan_skips_retry_loops(self):
-        plan = self.plan(enabled_checks=frozenset({"connectivity"}))
-        assert plan.passes == ("connectivity",)
-        assert "retry-loops" in plan.skipped
-        assert "icc-model" in plan.skipped
-
-    def test_no_retry_loop_detection_skips_the_artifact(self):
-        plan = self.plan(detect_retry_loops=False)
-        assert "retry-loops" in plan.skipped
-
-    def test_inter_component_needs_icc_model(self):
-        plan = self.plan(inter_component=True)
-        assert "icc-model" in plan.artifacts
-
-    def test_no_summaries_skips_the_engine(self):
-        plan = self.plan(summary_based=False)
-        assert "summaries" in plan.skipped
+        options = NCheckerOptions(enabled_checks=DEFAULT_CHECKS | {"fake"})
+        with pytest.raises(KeyError, match="no-such-artifact"):
+            NChecker(options=options).scan(apk)
 
 
 class TestSkippedArtifactsNotBuilt:
@@ -101,6 +54,36 @@ class TestSkippedArtifactsNotBuilt:
         return {
             kind: registry.counter_value(f"artifact.{kind}.builds")
             for kind in ARTIFACTS
+        }
+
+    @pytest.mark.parametrize(
+        "options,skipped",
+        [
+            pytest.param({}, {"icc-model", "threadcontext"}, id="default"),
+            pytest.param(
+                {"enabled_checks": frozenset({"connectivity"})},
+                {"retry-loops", "icc-model", "threadcontext"},
+                id="connectivity-only",
+            ),
+            pytest.param(
+                {"detect_retry_loops": False},
+                {"retry-loops", "icc-model", "threadcontext"},
+                id="no-retry-loop-detection",
+            ),
+            pytest.param(
+                {"inter_component": True}, {"threadcontext"}, id="inter-component"
+            ),
+            pytest.param(
+                {"summary_based": False},
+                {"summaries", "icc-model", "threadcontext"},
+                id="no-summaries",
+            ),
+        ],
+    )
+    def test_builds_exactly_what_enabled_checks_read(self, options, skipped):
+        builds = self.scan_counters(**options)
+        assert {kind: builds[kind] for kind in APP_KINDS} == {
+            kind: 0 if kind in skipped else 1 for kind in APP_KINDS
         }
 
     def test_default_scan_builds_retry_loops(self):

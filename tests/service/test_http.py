@@ -18,6 +18,7 @@ from repro.service.http import (
     HttpServer,
     ProtocolError,
     json_response,
+    parse_size,
 )
 
 
@@ -171,3 +172,21 @@ class TestHandlerFailures:
         reply = exchange(request_bytes(), handler=reject)
         assert status_of(reply) == 400
         assert b"handler says no" in body_of(reply)
+
+
+class TestSizes:
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("4096", 4096), ("1K", 1024), ("1.5M", 1536 * 1024),
+         ("2G", 2 << 30), (" 512m ", 512 << 20), ("0", 0),
+         ("1.5G", 3 << 29), ("512m", 512 << 20), ("0.5k", 512),
+         ("2.5t", int(2.5 * (1 << 40))), ("100B", 100), ("3.25", 3)],
+    )
+    def test_parse_size(self, text, expected):
+        assert parse_size(text) == expected
+
+    @pytest.mark.parametrize("bad", ["", "garbage", "-1", "1X5", "-2G",
+                                     "G", "1.2.3M"])
+    def test_parse_size_rejects(self, bad):
+        with pytest.raises(ValueError):
+            parse_size(bad)
