@@ -45,54 +45,69 @@ class TestOrdering:
             NChecker(options=options).scan(apk)
 
 
-class TestSkippedArtifactsNotBuilt:
-    def scan_counters(self, **kwargs):
-        apk, _ = single_request_app(RequestSpec(library="basichttp"))
-        checker = NChecker(options=NCheckerOptions(**kwargs))
-        with use_metrics() as registry:
-            checker.session_for(apk).scan()
-        return {
-            kind: registry.counter_value(f"artifact.{kind}.builds")
-            for kind in ARTIFACTS
-        }
-
-    @pytest.mark.parametrize(
-        "options,skipped",
-        [
-            pytest.param({}, {"icc-model", "threadcontext"}, id="default"),
-            pytest.param(
-                {"enabled_checks": frozenset({"connectivity"})},
-                {"retry-loops", "icc-model", "threadcontext"},
-                id="connectivity-only",
-            ),
-            pytest.param(
-                {"detect_retry_loops": False},
-                {"retry-loops", "icc-model", "threadcontext"},
-                id="no-retry-loop-detection",
-            ),
-            pytest.param(
-                {"inter_component": True}, {"threadcontext"}, id="inter-component"
-            ),
-            pytest.param(
-                {"summary_based": False},
-                {"summaries", "icc-model", "threadcontext"},
-                id="no-summaries",
-            ),
-        ],
+def scan_counters(**kwargs):
+    """Scan a one-request app; return the build count of every artifact
+    and the names of the checks that ran, in catalog order."""
+    apk, _ = single_request_app(RequestSpec(library="basichttp"))
+    options = NCheckerOptions(**kwargs)
+    with use_metrics() as registry:
+        NChecker(options=options).session_for(apk).scan()
+    builds = {
+        kind: registry.counter_value(f"artifact.{kind}.builds") for kind in ARTIFACTS
+    }
+    ran = tuple(
+        check.name
+        for check in check_registry.check_catalog(options)
+        if registry.counter_value(f"pass.{check.name}.runs")
     )
-    def test_builds_exactly_what_enabled_checks_read(self, options, skipped):
-        builds = self.scan_counters(**options)
-        assert {kind: builds[kind] for kind in APP_KINDS} == {
-            kind: 0 if kind in skipped else 1 for kind in APP_KINDS
-        }
+    return builds, ran
 
+
+def assert_app_builds(builds, skipped):
+    """Assert each app artifact was built once, or never if ``skipped``."""
+    assert {kind: builds[kind] for kind in APP_KINDS} == {
+        kind: 0 if kind in skipped else 1 for kind in APP_KINDS
+    }
+
+
+class TestPlanning:
+    def test_default_plan_skips_icc_model_only(self):
+        builds, ran = scan_counters()
+        assert ran == (
+            "config-apis",
+            "connectivity",
+            "retry-parameters",
+            "failure-notification",
+            "invalid-response",
+        )
+        assert_app_builds(builds, {"icc-model", "threadcontext"})
+
+    def test_connectivity_only_plan_skips_retry_loops(self):
+        builds, ran = scan_counters(enabled_checks=frozenset({"connectivity"}))
+        assert ran == ("connectivity",)
+        assert_app_builds(builds, {"retry-loops", "icc-model", "threadcontext"})
+
+    def test_no_retry_loop_detection_skips_the_artifact(self):
+        builds, _ = scan_counters(detect_retry_loops=False)
+        assert_app_builds(builds, {"retry-loops", "icc-model", "threadcontext"})
+
+    def test_inter_component_needs_icc_model(self):
+        builds, _ = scan_counters(inter_component=True)
+        assert_app_builds(builds, {"threadcontext"})
+
+    def test_no_summaries_skips_the_engine(self):
+        builds, _ = scan_counters(summary_based=False)
+        assert_app_builds(builds, {"summaries", "icc-model", "threadcontext"})
+
+
+class TestSkippedArtifactsNotBuilt:
     def test_default_scan_builds_retry_loops(self):
-        builds = self.scan_counters()
+        builds, _ = scan_counters()
         assert builds["retry-loops"] == 1
         assert builds["icc-model"] == 0
 
     def test_disabling_checks_skips_artifacts_only_they_need(self):
-        builds = self.scan_counters(enabled_checks=frozenset({"connectivity"}))
+        builds, _ = scan_counters(enabled_checks=frozenset({"connectivity"}))
         assert builds["retry-loops"] == 0
         assert builds["icc-model"] == 0
         # Shared artifacts are still built exactly once.
@@ -100,7 +115,7 @@ class TestSkippedArtifactsNotBuilt:
         assert builds["callgraph"] == 1
 
     def test_summary_ablation_never_builds_the_engine(self):
-        builds = self.scan_counters(summary_based=False)
+        builds, _ = scan_counters(summary_based=False)
         assert builds["summaries"] == 0
 
     def test_scan_results_unchanged_by_pipeline_for_enabled_kinds(self):
